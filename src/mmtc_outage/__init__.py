@@ -6,6 +6,7 @@ from .access import (
     InterferingSet,
     ResourceAllocation,
     color_bound,
+    decode_holds,
     decode_resources,
     effective_probabilities,
     encode_resources,

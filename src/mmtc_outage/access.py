@@ -29,6 +29,7 @@ __all__ = [
     "color_bound",
     "encode_resources",
     "decode_resources",
+    "decode_holds",
     "resource_mask",
     "interfering_set",
     "effective_probability",
@@ -73,18 +74,35 @@ def decode_resources(color: int, num_resources: int) -> frozenset[int]:
     return frozenset(n for n in range(1, num_resources + 1) if color >> (n - 1) & 1)
 
 
+def decode_holds(colors, mode: str, num_resources: int) -> np.ndarray:
+    """Boolean (N, R) incidence of the flattened colors; column n-1 <-> resource n.
+
+    Color 0 decodes to an all-False row in both modes.
+    """
+    flat = np.asarray(colors, dtype=np.int64).reshape(-1, 1)
+    bound = color_bound(mode, num_resources)
+    if np.any((flat < 0) | (flat > bound)):
+        raise ValueError(f"{mode}-mode colors must lie in [0, {bound}]")
+    ids = np.arange(1, num_resources + 1)
+    if mode == "single":
+        return flat == ids
+    return ((flat >> (ids - 1)) & 1).astype(bool)
+
+
 @dataclass(frozen=True, eq=False)
 class ResourceAllocation:
     """Colors of every collector/beam tuple plus their decoded resource sets.
 
-    ``colors`` has shape (K, L); ``resource_sets[k * L + l]`` is the set of
-    resource ids held by tuple (k, l).  Color 0 means the tuple is switched
+    ``colors`` has shape (K, L); ``holds[k * L + l, n - 1]`` says whether
+    tuple (k, l) holds resource n, and ``resource_sets[k * L + l]`` is the
+    same row as a set of resource ids.  Color 0 means the tuple is switched
     off (empty set) in both modes.
     """
 
     mode: str
     colors: np.ndarray
     num_resources: int
+    holds: np.ndarray = field(init=False, repr=False)
     resource_sets: tuple[frozenset[int], ...] = field(init=False, repr=False)
     set_sizes: np.ndarray = field(init=False, repr=False)
 
@@ -96,19 +114,14 @@ class ResourceAllocation:
         colors = np.asarray(self.colors, dtype=np.int64)
         if colors.ndim != 2:
             raise ValueError(f"colors must be a (K, L) matrix, got shape {colors.shape}")
-        bound = color_bound(self.mode, self.num_resources)
-        if np.any((colors < 0) | (colors > bound)):
-            raise ValueError(f"{self.mode}-mode colors must lie in [0, {bound}]")
+        holds = decode_holds(colors, self.mode, self.num_resources)
         object.__setattr__(self, "colors", colors)
         colors.setflags(write=False)
-        if self.mode == "single":
-            sets = tuple(
-                frozenset((int(c),)) if c else frozenset() for c in colors.flat
-            )
-        else:
-            sets = tuple(decode_resources(int(c), self.num_resources) for c in colors.flat)
+        holds.setflags(write=False)
+        object.__setattr__(self, "holds", holds)
+        sets = tuple(frozenset((np.flatnonzero(row) + 1).tolist()) for row in holds)
         object.__setattr__(self, "resource_sets", sets)
-        sizes = np.fromiter((len(s) for s in sets), dtype=np.int64, count=len(sets))
+        sizes = holds.sum(axis=1)
         sizes.setflags(write=False)
         object.__setattr__(self, "set_sizes", sizes)
 
@@ -157,12 +170,7 @@ def resource_mask(
         raise ValueError(
             f"resource ids run 1..{alloc.num_resources}, got {resource}"
         )
-    holds = np.fromiter(
-        (resource in s for s in alloc.resource_sets),
-        dtype=bool,
-        count=alloc.num_tuples,
-    )
-    return holds[scenario.det_node]
+    return alloc.holds[scenario.det_node, resource - 1]
 
 
 def interfering_set(

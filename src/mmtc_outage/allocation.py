@@ -181,9 +181,13 @@ def greedy_allocate(
 
     Starts from uniform random colors, then repeatedly re-colors nodes in
     descending-degree order, setting each to the smallest color attaining
-    the minimum objective.  ``incremental=False`` recomputes every sensor
-    for every candidate (validation mode); both settings choose identical
-    colors and produce identical traces.
+    the minimum objective.  The palette is decoded once; each node's
+    candidate colors are scored together by
+    :meth:`GcOutageEngine.palette_outage`, and a ``ResourceAllocation`` is
+    built only for the starting colors and the result.
+    ``incremental=False`` instead recomputes every sensor for every
+    candidate from a fresh allocation (validation mode); both settings
+    choose identical colors and produce identical traces.
     """
     config = config or GreedyConfig()
     graph = graph or build_graph(scenario)
@@ -202,35 +206,37 @@ def greedy_allocate(
     objective = float(cache.mean())
     trace = [objective]
     order = graph.sweep_order()
+    palette = access.decode_holds(np.arange(bound + 1), mode, num_resources)
+    flat = colors.reshape(-1).copy()
+    holds = alloc.holds.copy()
 
     for _ in range(config.max_iterations):
         for node in order:
-            k, l = divmod(int(node), scenario.num_beams)
-            held = alloc.resource_sets[node]
-            current_color = int(alloc.colors[k, l])
-            best = (objective, current_color, alloc, cache)
-            for color in range(bound + 1):
-                if color == current_color:
-                    continue
-                candidate_colors = alloc.colors.copy()
-                candidate_colors[k, l] = color
-                candidate = access.ResourceAllocation(mode, candidate_colors, num_resources)
-                if incremental:
-                    vector = engine.outage_vector(
-                        candidate,
-                        cache=cache,
-                        changed=(int(node), held, candidate.resource_sets[node]),
-                    )
-                else:
-                    vector = engine.outage_vector(candidate)
+            current = int(flat[node])
+            options = [color for color in range(bound + 1) if color != current]
+            if incremental:
+                vectors = engine.palette_outage(holds, node, palette[options], cache)
+            else:
+                vectors = []
+                for color in options:
+                    candidate = flat.copy()
+                    candidate[node] = color
+                    vectors.append(engine.outage_vector(access.ResourceAllocation(
+                        mode, candidate.reshape(colors.shape), num_resources
+                    )))
+            best = (objective, current, cache)
+            for color, vector in zip(options, vectors):
                 value = float(vector.mean())
                 if value < best[0] or (value == best[0] and color < best[1]):
-                    best = (value, color, candidate, vector)
-            objective, _, alloc, cache = best
+                    best = (value, color, vector)
+            objective, chosen, cache = best
+            flat[node] = chosen
+            holds[node] = palette[chosen]
         trace.append(objective)
         if trace[-2] - trace[-1] < config.improvement_threshold:
             break
-    return GreedyResult(alloc, tuple(trace))
+    final = access.ResourceAllocation(mode, flat.reshape(colors.shape), num_resources)
+    return GreedyResult(final, tuple(trace))
 
 
 def write_trace_csv(result: GreedyResult, path: str | Path) -> None:

@@ -32,6 +32,7 @@ from .access import (
 )
 from .scenario import Scenario
 from .stats_core import (
+    _GRID_OVERSAMPLE,
     _HERMITE_COEFFS,
     _cf_spectrum_grid,
     _cumulants_from_raw_moments,
@@ -230,11 +231,10 @@ def _resource_table(alloc: ResourceAllocation) -> tuple[np.ndarray, np.ndarray]:
     """Per-tuple sorted resource ids padded into a rectangle, plus set sizes."""
     sizes = alloc.set_sizes
     width = max(1, int(sizes.max()))
-    table = np.zeros((alloc.num_tuples, width), dtype=np.int64)
-    for node, ids in enumerate(alloc.resource_sets):
-        for slot, t in enumerate(sorted(ids)):
-            table[node, slot] = t
-    return table, sizes
+    # held columns first, each group in ascending column order
+    cols = np.argsort(~alloc.holds, axis=1, kind="stable")[:, :width]
+    held = np.take_along_axis(alloc.holds, cols, axis=1)
+    return np.where(held, cols + 1, 0), sizes
 
 
 def _mc_outage(
@@ -390,6 +390,9 @@ def _batched_series_tail(
     return np.clip(total / norm, 0.0, 1.0)
 
 
+_PAIR_CHUNK_ROWS = 1 << 15  # distinct (sensor, resource) pairs per series-tail call
+
+
 class GcOutageEngine:
     """Scenario-wide series outage with per-tuple power pooling.
 
@@ -397,8 +400,15 @@ class GcOutageEngine:
     tuple, so the cumulant sums of every (destination, resource) pair can be
     assembled from a fixed (D, D, order) tensor of per-source-tuple power
     sums.  One full objective evaluation then reduces to a couple of small
-    einsums plus a vectorized series tail over (sensor, resource) pairs —
-    this is the engine the greedy allocator iterates.
+    einsums plus a vectorized series tail over (sensor, resource) pairs.
+
+    The greedy allocator iterates :meth:`palette_outage`, which scores every
+    candidate color of one node in a single pass: each candidate gets its own
+    pair of einsums, and the affected (sensor, resource) pairs of all
+    candidates go through one series-tail evaluation, each distinct pair
+    once, in chunks of at most ``_PAIR_CHUNK_ROWS`` rows.
+    :meth:`outage_vector` is the one-candidate case of the same kernel, so
+    full, cached and palette evaluations return bitwise-identical vectors.
 
     Requires the uniform per-sensor activity produced by the scenario
     generator (the per-tuple pooling folds the activity into per-tuple
@@ -436,30 +446,6 @@ class GcOutageEngine:
             - scenario.noise_power
         )
 
-    def _pairs(self, alloc: ResourceAllocation):
-        """Flatten (sensor, held resource) pairs plus averaging weights."""
-        det = self.scenario.det_node
-        sensors, resources, weights = [], [], []
-        for node, ids in enumerate(alloc.resource_sets):
-            if not ids:
-                continue
-            members = np.nonzero(det == node)[0]
-            if members.size == 0:
-                continue
-            share = 1.0 / len(ids)
-            for t in sorted(ids):
-                sensors.append(members)
-                resources.append(np.full(members.size, t, dtype=np.int64))
-                weights.append(np.full(members.size, share))
-        if not sensors:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, np.empty(0)
-        return (
-            np.concatenate(sensors),
-            np.concatenate(resources),
-            np.concatenate(weights),
-        )
-
     def outage_vector(
         self,
         alloc: ResourceAllocation,
@@ -469,64 +455,108 @@ class GcOutageEngine:
     ) -> np.ndarray:
         """Per-sensor outage under ``alloc``.
 
-        With ``cache`` (a previous result) and ``changed`` (node, old
-        resource set, new resource set), only sensors whose value can have
-        moved are recomputed — those detected at the changed node plus those
-        whose tuple's set meets the union of old and new resources.  The
-        recomputation uses the same pooled arrays as a full pass, so both
-        routes return bitwise-identical vectors.
+        With ``cache`` (the result before one node was re-colored) and
+        ``changed`` (node, old resource set, new resource set), only sensors
+        whose value can have moved are recomputed — those detected at the
+        changed node plus those whose tuple's set meets the union of old and
+        new resources; the new set is read from ``alloc``.
         """
-        scenario = self.scenario
-        det = scenario.det_node
-        num_resources = alloc.num_resources
-        sizes = alloc.set_sizes
-        p_eff = np.zeros(alloc.num_tuples)
+        holds = alloc.holds
+        if cache is None:
+            affected = np.ones((1, self.scenario.num_sensors), dtype=bool)
+            return self._outage(holds[None], affected, np.ones(affected.size), 0)[0]
+        if changed is None:
+            raise ValueError("cache updates need the changed-node triple")
+        node, old_ids, _ = changed
+        before = holds.copy()
+        before[node] = False
+        before[node, [t - 1 for t in old_ids]] = True
+        return self.palette_outage(before, node, holds[node][None], cache)[0]
+
+    def palette_outage(
+        self,
+        holds: np.ndarray,
+        node: int,
+        options: np.ndarray,
+        cache: np.ndarray,
+    ) -> np.ndarray:
+        """(C, M) per-sensor outage with ``node`` re-colored to each option.
+
+        ``holds`` is the current (D, R) incidence matrix
+        (:attr:`ResourceAllocation.holds`), ``cache`` its outage vector, and
+        row c of ``options`` the decoded (R,) incidence of candidate color c.
+        Row c equals ``outage_vector`` of the re-colored allocation, bit for
+        bit.
+        """
+        options = np.asarray(options, dtype=bool)
+        candidates = np.repeat(holds[None], options.shape[0], axis=0)
+        candidates[:, node] = options
+        moved = options | holds[node]  # (C, R)
+        touched = (holds[None, :, :] & moved[:, None, :]).any(axis=2)  # (C, D)
+        touched[:, node] = True
+        return self._outage(candidates, touched[:, self.scenario.det_node], cache, node)
+
+    def _outage(
+        self, holds: np.ndarray, affected: np.ndarray, base: np.ndarray, node: int
+    ) -> np.ndarray:
+        """Per-sensor outage under C allocations given as (C, D, R) holds.
+
+        The candidates may differ from each other only in row ``node``.  Row
+        c recomputes the sensors of ``affected[c]`` and copies the rest from
+        ``base``.  Pairs are ordered by candidate, sensor, then ascending
+        resource, so each sensor's resource average is summed in the same
+        order whatever the batch.
+        """
+        det = self.scenario.det_node
+        num_sensors = det.size
+        num_cands, num_tuples, num_resources = holds.shape
+        sizes = holds.sum(axis=2)  # (C, D)
+        p_eff = np.zeros(sizes.shape)
         held = sizes > 0
         p_eff[held] = self.activity / sizes[held]
-        cvals = _bernoulli_cumulants(p_eff, self.depth)  # (D, depth)
-        holds = np.zeros((num_resources + 1, alloc.num_tuples), dtype=bool)
-        for node, ids in enumerate(alloc.resource_sets):
-            for t in ids:
-                holds[t, node] = True
+        cvals = _bernoulli_cumulants(p_eff, self.depth)  # (C, D, depth)
+        # (C, R+1, D) with row t for resource t, row 0 empty
+        table = np.zeros((num_cands, num_resources + 1, num_tuples), dtype=bool)
+        table[:, 1:, :] = holds.transpose(0, 2, 1)
         # pooled cumulant sums and supports for every (destination, resource)
-        sums = np.einsum("te,en,den->dtn", holds, cvals, self.pooled)
-        support = np.einsum("te,de->dt", holds, self.pooled[:, :, 0])
-        counts = holds @ self.tuple_counts  # (R+1,) members per resource
+        sums = np.stack(
+            [np.einsum("te,en,den->dtn", table[c], cvals[c], self.pooled) for c in range(num_cands)]
+        )
+        support = np.stack(
+            [np.einsum("te,de->dt", table[c], self.pooled[:, :, 0]) for c in range(num_cands)]
+        )
+        counts = table @ self.tuple_counts  # (C, R+1) members per resource
 
-        pair_sensor, pair_resource, pair_weight = self._pairs(alloc)
-        out = np.ones(scenario.num_sensors)
-        if cache is not None:
-            if changed is None:
-                raise ValueError("cache updates need the changed-node triple")
-            node, old_ids, new_ids = changed
-            touched = np.zeros(alloc.num_tuples, dtype=bool)
-            touched[node] = True
-            moved = frozenset(old_ids) | frozenset(new_ids)
-            for other, ids in enumerate(alloc.resource_sets):
-                if ids & moved:
-                    touched[other] = True
-            affected = touched[det]
-            keep = affected[pair_sensor]
-            pair_sensor = pair_sensor[keep]
-            pair_resource = pair_resource[keep]
-            pair_weight = pair_weight[keep]
-            out = cache.copy()
-            out[affected] = 1.0
-        if pair_sensor.size:
-            dest = det[pair_sensor]
-            kappa = (
-                sums[dest, pair_resource, :]
-                - cvals[dest] * self.self_powers[pair_sensor]
+        pair_cand, pair_sensor, pair_col = np.nonzero(
+            holds[:, det, :] & affected[:, :, None]
+        )
+        # A pair's inputs depend on its candidate only through whether
+        # ``node`` holds the pair's resource and, if so, how many resources it
+        # holds (its term in the pooled sums is an exact zero otherwise), so
+        # each distinct (sensor, resource, node state) is evaluated once.
+        node_state = np.where(
+            holds[pair_cand, node, pair_col], sizes[pair_cand, node], 0
+        )
+        key = (pair_sensor * num_resources + pair_col) * (num_resources + 1) + node_state
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        values = np.empty(first.size)
+        for lo in range(0, first.size, _PAIR_CHUNK_ROWS):
+            rows = first[lo : lo + _PAIR_CHUNK_ROWS]
+            c, i, t = pair_cand[rows], pair_sensor[rows], pair_col[rows] + 1
+            d = det[i]
+            kappa = sums[c, d, t, :] - cvals[c, d] * self.self_powers[i]
+            supports = support[c, d, t] - self.self_powers[i, 0]
+            members = counts[c, t] - 1
+            values[lo : lo + rows.size] = self._pair_values(
+                kappa, self.thresholds[i], supports, members
             )
-            supports = support[dest, pair_resource] - self.self_powers[pair_sensor, 0]
-            members = counts[pair_resource] - 1
-            thresholds = self.thresholds[pair_sensor]
-            values = self._pair_values(kappa, thresholds, supports, members)
-            contrib = np.zeros(scenario.num_sensors)
-            np.add.at(contrib, pair_sensor, values * pair_weight)
-            touched_sensors = np.zeros(scenario.num_sensors, dtype=bool)
-            touched_sensors[pair_sensor] = True
-            out[touched_sensors] = contrib[touched_sensors]
+        pair_weight = 1.0 / sizes[pair_cand, det[pair_sensor]]
+        flat = pair_cand * num_sensors + pair_sensor
+        contrib = np.zeros(num_cands * num_sensors)
+        np.add.at(contrib, flat, values[inverse] * pair_weight)
+        out = np.repeat(base[None], num_cands, axis=0)
+        out[affected] = 1.0
+        out.reshape(-1)[flat] = contrib[flat]
         return out
 
     def _pair_values(self, kappa, thresholds, supports, members) -> np.ndarray:
@@ -562,17 +592,17 @@ _SELF_DIVIDE_MAX_P = 0.45  # above this, rebuild instead of dividing the pool
 _POOL_DROP_TOL = 1e-9  # weight-sum fraction of negligible terms to drop
 
 
-def _pool_requests(alloc: ResourceAllocation, scenario: Scenario):
-    """Group (sensor, resource) requests by destination tuple."""
+def _pool_requests(
+    alloc: ResourceAllocation, scenario: Scenario, sensors: np.ndarray | None = None
+) -> dict[int, list[tuple[int, int]]]:
+    """Group (sensor, held resource) requests of the given sensors (all when
+    None) by destination tuple, in tuple, sensor, resource order."""
     det = scenario.det_node
+    ids = np.arange(det.size) if sensors is None else np.unique(sensors)
     groups: dict[int, list[tuple[int, int]]] = {}
-    for node, ids in enumerate(alloc.resource_sets):
-        if not ids:
-            continue
-        members = np.nonzero(det == node)[0]
-        for i in members:
-            for t in sorted(ids):
-                groups.setdefault(node, []).append((int(i), t))
+    for i in ids[np.argsort(det[ids], kind="stable")].tolist():
+        for col in np.flatnonzero(alloc.holds[det[i]]).tolist():
+            groups.setdefault(int(det[i]), []).append((i, col + 1))
     return groups
 
 
@@ -582,6 +612,7 @@ def _pooled_pass(
     grid_points: int,
     consume,
     drop_tol: float = _POOL_DROP_TOL,
+    sensors: np.ndarray | None = None,
 ) -> None:
     """Shared-grid CF inversion for every (sensor, held resource) pair.
 
@@ -589,8 +620,9 @@ def _pooled_pass(
     once and each sensor's spectrum is recovered by dividing out its own
     factor (rebuilt from scratch when its probability is large enough to
     make the division ill-conditioned).  ``consume(sensor, resource,
-    distribution)`` is called for every pair; sensors on switched-off tuples
-    are never passed.  Terms contributing less than ``drop_tol`` of a
+    distribution)`` is called for every pair of the given ``sensors`` (all
+    when None), and only their destination tuples are pooled; sensors on
+    switched-off tuples are never passed.  Terms contributing less than ``drop_tol`` of a
     destination's total weight are dropped from the pool.
     """
     q_pts = int(grid_points)
@@ -598,8 +630,8 @@ def _pooled_pass(
         raise ValueError(f"grid_points must be a power of two >= 64, got {grid_points}")
     det = scenario.det_node
     p_eff = effective_probabilities(alloc, scenario)
-    groups = _pool_requests(alloc, scenario)
-    fine = 16 * q_pts
+    groups = _pool_requests(alloc, scenario, sensors)
+    fine = _GRID_OVERSAMPLE * q_pts
 
     for dest, requests in groups.items():
         row = scenario.powers_at[dest]
@@ -624,8 +656,7 @@ def _pooled_pass(
             t: resource_mask(alloc, scenario, t) & kept for t in needed
         }
         for node in np.unique(det[kept]):
-            node_set = alloc.resource_sets[node]
-            hit = [t for t in needed if t in node_set]
+            hit = [t for t in needed if alloc.holds[node, t - 1]]
             if not hit:
                 continue
             members = np.nonzero(kept & (det == node))[0]
@@ -714,14 +745,12 @@ def pooled_cf_densities(
     None).  Each distribution spans [0, pooled support] of its destination
     tuple, so all sensors detected at one tuple share a comparable grid.
     """
-    wanted = None if sensors is None else set(int(s) for s in sensors)
     results: dict[tuple[int, int], DiscretizedDistribution] = {}
 
     def consume(i: int, t: int, dist: DiscretizedDistribution) -> None:
-        if wanted is None or i in wanted:
-            results[(i, t)] = dist
+        results[(i, t)] = dist
 
-    _pooled_pass(alloc, scenario, grid_points, consume)
+    _pooled_pass(alloc, scenario, grid_points, consume, sensors=sensors)
     return results
 
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from mmtc_outage.access import (
     ResourceAllocation,
     color_bound,
+    decode_holds,
     decode_resources,
     effective_probabilities,
     effective_probability,
@@ -94,6 +95,26 @@ def test_multiple_mode_sets_decode_colors():
     alloc = ResourceAllocation("multiple", np.array([[5, 0]]), 3)
     assert alloc.tuple_set(0, 0) == {1, 3}
     assert alloc.tuple_set(0, 1) == frozenset()
+
+
+@pytest.mark.parametrize("mode", ["single", "multiple"])
+def test_holds_agrees_with_sets_and_masks(toy_scenario, mode):
+    rng = np.random.default_rng(8)
+    bound = color_bound(mode, 3)
+    for _ in range(20):
+        alloc = alloc_for(toy_scenario, mode, rng.integers(0, bound + 1, size=(3, 2)))
+        assert alloc.holds.shape == (6, 3)
+        assert not alloc.holds.flags.writeable
+        for node, ids in enumerate(alloc.resource_sets):
+            assert {t for t in (1, 2, 3) if alloc.holds[node, t - 1]} == ids
+        assert np.array_equal(alloc.set_sizes, alloc.holds.sum(axis=1))
+        for t in (1, 2, 3):
+            expected = [t in alloc.resource_sets[d] for d in toy_scenario.det_node]
+            assert resource_mask(alloc, toy_scenario, t).tolist() == expected
+    assert np.array_equal(decode_holds(np.arange(bound + 1), mode, 3), np.array(
+        [[n in decode_resources(c, 3) if mode == "multiple" else n == c for n in (1, 2, 3)]
+         for c in range(bound + 1)]
+    ))
 
 
 def test_allocation_rejects_out_of_bound_colors():

@@ -356,6 +356,34 @@ def test_engine_incremental_updates_are_bitwise_equal():
         cache = fast
 
 
+@pytest.mark.parametrize("chunk_rows", [None, 1])
+@pytest.mark.parametrize("mode", ["single", "multiple"])
+def test_palette_scores_equal_full_recompute(mode, chunk_rows, monkeypatch):
+    if chunk_rows is not None:
+        monkeypatch.setattr(outage, "_PAIR_CHUNK_ROWS", chunk_rows)
+    num_resources = 3
+    full = access.color_bound(mode, num_resources)
+    for s in (toy(), toy(detection_threshold=1e9)):  # the second is hopeless
+        engine = outage.GcOutageEngine(s)
+        rng = np.random.default_rng(5)
+        colors = rng.integers(0, full + 1, size=(s.num_cns, s.num_beams))
+        colors[0, 0] = 0  # one tuple switched off
+        alloc = access.ResourceAllocation(mode, colors, num_resources)
+        cache = engine.outage_vector(alloc)
+        for bound in (full, 2):
+            palette = access.decode_holds(np.arange(bound + 1), mode, num_resources)
+            for node in range(s.num_tuples):
+                scores = engine.palette_outage(alloc.holds, node, palette, cache)
+                assert scores.shape == (bound + 1, s.num_sensors)
+                for color in range(bound + 1):
+                    recolored = alloc.colors.copy()
+                    recolored.flat[node] = color
+                    expected = engine.outage_vector(
+                        access.ResourceAllocation(mode, recolored, num_resources)
+                    )
+                    assert np.array_equal(scores[color], expected)
+
+
 def test_engine_requires_uniform_activity():
     s = toy()
     lopsided = replace(s, activities=np.linspace(0.1, 0.5, s.num_sensors))
@@ -453,6 +481,22 @@ def test_pooled_densities_sensor_filter():
     alloc = full_reuse(s)
     dists = outage.pooled_cf_densities(alloc, s, 1 << 8, sensors=np.array([2, 9]))
     assert set(dists) == {(2, 1), (9, 1)}
+
+
+@pytest.mark.parametrize("mode", ["single", "multiple"])
+def test_pooled_densities_for_one_sensor_equal_the_full_pass(mode):
+    s = toy()
+    rng = np.random.default_rng(23)
+    bound = access.color_bound(mode, s.config.num_resources)
+    colors = rng.integers(1, bound + 1, size=(s.num_cns, s.num_beams))
+    alloc = access.ResourceAllocation(mode, colors, s.config.num_resources)
+    every = outage.pooled_cf_densities(alloc, s, 1 << 9)
+    for i in range(s.num_sensors):
+        one = outage.pooled_cf_densities(alloc, s, 1 << 9, sensors=[i])
+        assert set(one) == {key for key in every if key[0] == i}
+        for key, dist in one.items():
+            assert np.array_equal(dist.masses, every[key].masses)
+            assert dist.upper == every[key].upper
 
 
 def test_batch_cf_respects_off_tuple_convention():
