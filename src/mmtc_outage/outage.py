@@ -10,9 +10,9 @@ Monte Carlo resampling of activities and resource choices.
 Beyond the per-sensor operations, two batched evaluators make scenario-wide
 sweeps affordable: :class:`GcOutageEngine` pools per-tuple power sums so one
 full-objective evaluation costs microseconds per sensor (this is what the
-greedy allocator iterates), and :func:`batch_cf_outage` shares pooled
-characteristic-function factor products across all sensors detected at the
-same collector/beam tuple.
+greedy allocator iterates), and :func:`batch_cf_outage` shares the other
+tuples' characteristic-function factor products across all sensors detected
+at one collector/beam tuple, times leave-one-out products of its own factors.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from pathlib import Path
 from typing import Union
 
 import numpy as np
-from scipy.special import ndtr
 
 from .access import (
     ResourceAllocation,
@@ -34,6 +33,7 @@ from .scenario import Scenario
 from .stats_core import (
     _GRID_OVERSAMPLE,
     _HERMITE_COEFFS,
+    _bernoulli_factor,
     _cf_spectrum_grid,
     _cumulants_from_raw_moments,
     _invert_spectrum,
@@ -345,6 +345,7 @@ def _batched_series_tail(
     rows already.  Mirrors gram_charlier_from_cumulants + tail_probability
     arithmetic step for step, so the two agree to rounding.
     """
+    from scipy.special import ndtr  # ~24 MB; only the batched engine needs it
     mu = kappa[:, 0]
     sigma = np.sqrt(kappa[:, 1])
     alpha = -mu / sigma
@@ -588,7 +589,6 @@ class GcOutageEngine:
 # ---------------------------------------------------------------------------
 # batched characteristic-function evaluation
 
-_SELF_DIVIDE_MAX_P = 0.45  # above this, rebuild instead of dividing the pool
 _POOL_DROP_TOL = 1e-9  # weight-sum fraction of negligible terms to drop
 
 
@@ -616,14 +616,15 @@ def _pooled_pass(
 ) -> None:
     """Shared-grid CF inversion for every (sensor, held resource) pair.
 
-    For each destination tuple, per-source-tuple factor products are pooled
-    once and each sensor's spectrum is recovered by dividing out its own
-    factor (rebuilt from scratch when its probability is large enough to
-    make the division ill-conditioned).  ``consume(sensor, resource,
-    distribution)`` is called for every pair of the given ``sensors`` (all
-    when None), and only their destination tuples are pooled; sensors on
-    switched-off tuples are never passed.  Terms contributing less than ``drop_tol`` of a
-    destination's total weight are dropped from the pool.
+    Per destination tuple, the factors of every other tuple holding resource
+    t are pooled once into ``others[t]``; a sensor's spectrum is that times
+    the leave-one-out product of its own tuple's factors (prefix and suffix
+    products), so nothing is divided out, even where an own factor vanishes
+    (p_eff = 0.5).  ``consume(sensor, resource, distribution)`` is called
+    for every pair of the given ``sensors`` (all when None), and only their
+    destination tuples are pooled; sensors on switched-off tuples are never
+    passed.  Terms contributing less than ``drop_tol`` of a destination's
+    total weight are dropped from the pool.
     """
     q_pts = int(grid_points)
     if q_pts < 64 or q_pts & (q_pts - 1):
@@ -635,15 +636,10 @@ def _pooled_pass(
 
     for dest, requests in groups.items():
         row = scenario.powers_at[dest]
-        eligible = (p_eff > 0.0) & (row > 0.0)
-        if eligible.any():
-            order_ = np.argsort(row[eligible])
-            elig_ids = np.nonzero(eligible)[0][order_]
-            cum = np.cumsum(row[elig_ids])
-            total = cum[-1]
-            kept_ids = elig_ids[cum > drop_tol * total]
-        else:
-            kept_ids = np.empty(0, dtype=np.int64)
+        elig_ids = np.flatnonzero((p_eff > 0.0) & (row > 0.0))
+        elig_ids = elig_ids[np.argsort(row[elig_ids])]
+        cum = np.cumsum(row[elig_ids])
+        kept_ids = elig_ids[cum > drop_tol * cum[-1]] if cum.size else elig_ids
         kept = np.zeros(scenario.num_sensors, dtype=bool)
         kept[kept_ids] = True
         kept_total = float(row[kept_ids].sum())
@@ -651,37 +647,33 @@ def _pooled_pass(
         freqs, taper = _cf_spectrum_grid(upper, fine)
 
         needed = sorted({t for _, t in requests})
-        pooled = {t: np.ones(freqs.size, dtype=complex) for t in needed}
-        on_resource = {
-            t: resource_mask(alloc, scenario, t) & kept for t in needed
-        }
+        others = {t: np.ones(freqs.size, dtype=complex) for t in needed}
+        factor = np.empty(freqs.size, dtype=complex)
         for node in np.unique(det[kept]):
             hit = [t for t in needed if alloc.holds[node, t - 1]]
-            if not hit:
+            if node == dest or not hit:
                 continue
-            members = np.nonzero(kept & (det == node))[0]
             psi = np.ones(freqs.size, dtype=complex)
-            for j in members:
-                psi *= (1.0 - p_eff[j]) + p_eff[j] * np.exp(1j * (row[j] * freqs))
+            for j in np.nonzero(kept & (det == node))[0]:
+                psi *= _bernoulli_factor(p_eff[j], row[j], freqs, factor)
             for t in hit:
-                pooled[t] *= psi
+                others[t] *= psi
+
+        # loo[k]: product of the own factors but the k-th (loo[-1]: all); the
+        # suffix pass makes each factor again instead of keeping a second array
+        own = np.flatnonzero(kept & (det == dest))
+        loo = np.ones((own.size + 1, freqs.size), dtype=complex)
+        for k, j in enumerate(own):
+            np.multiply(loo[k], _bernoulli_factor(p_eff[j], row[j], freqs, factor), out=loo[k + 1])
+        suffix = np.ones(freqs.size, dtype=complex)
+        for k in range(own.size - 1, -1, -1):
+            loo[k] *= suffix
+            suffix *= _bernoulli_factor(p_eff[own[k]], row[own[k]], freqs, factor)
+        slot = dict(zip(own.tolist(), range(own.size)))
 
         for i, t in requests:
-            phi = pooled[t]
-            if kept[i]:
-                own = (1.0 - p_eff[i]) + p_eff[i] * np.exp(1j * (row[i] * freqs))
-                if p_eff[i] <= _SELF_DIVIDE_MAX_P:
-                    phi = phi / own
-                else:
-                    others = np.nonzero(on_resource[t])[0]
-                    phi = np.ones(freqs.size, dtype=complex)
-                    for j in others:
-                        if j == i:
-                            continue
-                        phi *= (1.0 - p_eff[j]) + p_eff[j] * np.exp(
-                            1j * (row[j] * freqs)
-                        )
-            consume(i, t, _invert_spectrum(phi * taper, q_pts, upper))
+            phi = others[t] * loo[slot.get(i, -1)] * taper
+            consume(i, t, _invert_spectrum(phi, q_pts, upper))
 
 
 def batch_cf_outage(
@@ -691,11 +683,11 @@ def batch_cf_outage(
 ) -> np.ndarray:
     """Per-sensor CF-method outage, factor-pooled per destination tuple.
 
-    Matches the scalar route up to the grid convention: here every sensor
-    detected at the same tuple shares one frequency grid sized to the pooled
-    support, so tails can differ from per-sensor grids at the level of one
-    grid cell's mass.  Edge conventions are identical to
-    :func:`outage_single`.
+    Spectra are leave-one-out factor products (:func:`_pooled_pass`), exact
+    at every activity, and match the scalar route up to the grid convention:
+    sensors detected at one tuple share a grid sized to its pooled support,
+    so tails can differ from per-sensor grids by one grid cell's mass.  Edge
+    conventions are identical to :func:`outage_single`.
     """
     det = scenario.det_node
     thresholds = (

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 __all__ = [
     "WeightedBernoulliTerm",
@@ -50,6 +49,11 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 def _norm_pdf(x):
     return np.exp(-0.5 * np.square(x)) / _SQRT_2PI
+
+
+def _ndtr(x: float) -> float:
+    # scalar normal cdf; math.erfc spares scalar callers the ~24 MB scipy.special import
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
 class DegenerateModelError(ValueError):
@@ -263,10 +267,10 @@ class AtomicDistribution:
     def discretize(self, lower: float, upper: float, num_bins: int) -> "DiscretizedDistribution":
         """Grid the atoms with the same anti-aliased assignment as cf_density.
 
-        Each atom's mass is spread over a narrow Gaussian footprint on an
-        8x-oversampled lattice (shifted by half an output bin so an atom
-        sitting exactly on a bin edge lands in that bin), then the fine
-        cells are aggregated.  Soft assignment keeps grid comparisons
+        Each atom's mass is spread over a narrow Gaussian footprint on a
+        lattice _GRID_OVERSAMPLE times finer (shifted by half an output bin
+        so an atom sitting exactly on a bin edge lands in that bin), then the
+        fine cells are aggregated.  Soft assignment keeps grid comparisons
         against CF inversion meaningful: both sides quantize locations
         identically, so differences reflect the inversion itself rather
         than which side of a bin edge an atom happens to fall on.
@@ -422,6 +426,19 @@ def _cf_spectrum_grid(upper: float, fine: int) -> tuple[np.ndarray, np.ndarray]:
     return freqs, taper
 
 
+def _bernoulli_factor(p: float, w: float, freqs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """(1 - p) + p e^{iwf} into ``out`` on a uniform grid freqs[k] = k df, from
+    phase tables: e^{iwf_k} = lo[k mod B] hi[k div B], B a power of two ~ sqrt(F)."""
+    block = 1 << (freqs.size.bit_length() // 2)
+    rows = freqs.size // block
+    lo = np.exp(1j * (w * freqs[:block]))
+    hi = p * np.exp(1j * (w * freqs[::block]))
+    np.multiply(hi[:rows, None], lo, out=out[: rows * block].reshape(rows, block))
+    np.multiply(hi[rows:], lo[: freqs.size - rows * block], out=out[rows * block :])
+    out += 1.0 - p
+    return out
+
+
 def _invert_spectrum(phi_tapered: np.ndarray, grid_points: int, upper: float) -> DiscretizedDistribution:
     """Half-spectrum -> gridded law: inverse real FFT, clip, aggregate, renormalize."""
     fine = _GRID_OVERSAMPLE * grid_points
@@ -437,8 +454,8 @@ def cf_density(terms, grid_points: int = 1 << 16) -> DiscretizedDistribution:
 
     The output grid spans [0, J * (1 + 1/Q)]; the pad keeps the all-on atom
     at J away from the circular wrap point.  The characteristic function is
-    evaluated on an 8x-oversampled frequency grid and tapered by the shared
-    Gaussian gridding kernel (see _GRID_OVERSAMPLE), which suppresses the
+    evaluated on a frequency grid oversampled _GRID_OVERSAMPLE times and
+    tapered by the shared Gaussian gridding kernel, which suppresses the
     Dirichlet ringing that otherwise smears off-lattice atoms across the
     whole grid.  Residual negative ripple is clipped and mass renormalized.
     """
@@ -454,10 +471,11 @@ def cf_density(terms, grid_points: int = 1 << 16) -> DiscretizedDistribution:
     upper = support * (1.0 + 1.0 / q_pts)
     freqs, taper = _cf_spectrum_grid(upper, _GRID_OVERSAMPLE * q_pts)
     phi = np.ones(freqs.size, dtype=complex)
+    factor = np.empty_like(phi)
     for w, prob in zip(a, p):
         if w == 0.0 or prob == 0.0:
             continue
-        phi *= (1.0 - prob) + prob * np.exp(1j * (w * freqs))
+        phi *= _bernoulli_factor(prob, w, freqs, factor)
     return _invert_spectrum(phi * taper, q_pts, upper)
 
 
@@ -506,7 +524,7 @@ def truncated_kernel(mu, sigma, lower, upper, max_order: int = 5) -> TruncatedGa
     sigma = float(sigma)
     alpha = (lower - mu) / sigma
     beta = (upper - mu) / sigma
-    norm = float(ndtr(beta) - ndtr(alpha))
+    norm = _ndtr(beta) - _ndtr(alpha)
     if norm < 1e-300:
         raise DegenerateKernelError(
             f"truncation window [{lower}, {upper}] carries no mass "
@@ -612,7 +630,7 @@ def gaussian_partial_moment(n: int, lo: float, hi: float) -> float:
         raise ValueError("lo must not exceed hi")
     plo = float(_norm_pdf(lo))
     phi_hi = float(_norm_pdf(hi))
-    i_prev2 = float(ndtr(hi) - ndtr(lo))
+    i_prev2 = _ndtr(hi) - _ndtr(lo)
     if n == 0:
         return i_prev2
     i_prev1 = plo - phi_hi

@@ -499,6 +499,35 @@ def test_pooled_densities_for_one_sensor_equal_the_full_pass(mode):
             assert dist.upper == every[key].upper
 
 
+@pytest.mark.parametrize("mode", ["single", "multiple"])
+@pytest.mark.parametrize("activity", [0.5, 1.0])
+def test_pooled_pass_at_high_activity(mode, activity):
+    # at p_eff = 0.5 an own factor 1/2 + 1/2 e^{iwf} vanishes where wf = pi,
+    # so the leave-one-out products must not divide anything out
+    s = toy(activity=activity)
+    bound = access.color_bound(mode, s.config.num_resources)
+    colors = np.random.default_rng(5).integers(1, bound + 1, size=(s.num_cns, s.num_beams))
+    alloc = access.ResourceAllocation(mode, colors, s.config.num_resources)
+    fine = outage.CharFnMethod(1 << 13)
+    dists = outage.pooled_cf_densities(alloc, s, fine.grid_points)
+    for i in (0, 5, 12):
+        t = min(alloc.resource_sets[s.det_node[i]])
+        weights, probs = outage.interference_terms(alloc, s, i, t)
+        exact = stats_core.exact_pmf(list(zip(weights, probs)))
+        thr = outage.interference_headroom(s, i)
+        for mult in (0.5, 1.0, 2.0):
+            assert dists[(i, t)].tail(thr * mult) == pytest.approx(
+                exact.tail(thr * mult), abs=2e-3
+            )
+    batch = outage.batch_cf_outage(alloc, s, fine.grid_points)
+    expected = [
+        np.mean([outage.outage_single(alloc, s, i, t, fine)
+                 for t in sorted(alloc.resource_sets[s.det_node[i]])])
+        for i in range(s.num_sensors)
+    ]
+    np.testing.assert_allclose(batch, expected, rtol=0, atol=2e-3)
+
+
 def test_batch_cf_respects_off_tuple_convention():
     s = toy()
     colors = single_colors(s, fill=1)

@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
+from scipy.special import ndtr
 
 from mmtc_outage.stats_core import (
+    _GRID_OVERSAMPLE,
+    _bernoulli_factor,
+    _cf_spectrum_grid,
+    _ndtr,
     AtomicDistribution,
     DegenerateKernelError,
     DegenerateModelError,
@@ -200,6 +205,21 @@ def test_exact_pmf_mean_matches_model():
 # characteristic-function inversion
 
 
+@pytest.mark.parametrize("size", [1, 2, 3, 1000, 1025, _GRID_OVERSAMPLE * (1 << 15) + 1])
+@pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+def test_bernoulli_factor_matches_direct_formula(size, p):
+    # the last size is the half spectrum of cf_density's default 2^16-point
+    # grid, whose phases reach ~3e6 rad; the direct formula itself rounds w*f
+    # to eps*|w*f|, so the tolerance scales with the largest phase
+    freqs = _cf_spectrum_grid(1.0, 2 * size)[0][:size]
+    for w in (1e-3, 0.37, 1.0):
+        direct = (1.0 - p) + p * np.exp(1j * (w * freqs))
+        tol = 8.0 * np.finfo(float).eps * max(1.0, float(np.max(w * freqs)))
+        out = np.empty(size, dtype=complex)
+        assert _bernoulli_factor(p, w, freqs, out) is out
+        np.testing.assert_allclose(out, direct, rtol=0, atol=tol)
+
+
 def test_cf_density_single_term_masses():
     d = cf_density([(1.0, 0.3)], 1024)
     w = d.bin_width
@@ -378,6 +398,13 @@ def test_gc5_closer_than_gc0_in_divergence():
 
 # ---------------------------------------------------------------------------
 # partial moments and tails
+
+
+def test_scalar_normal_cdf_matches_scipy():
+    x = np.linspace(-37.0, 9.0, 4001)
+    got = np.array([_ndtr(v) for v in x])
+    np.testing.assert_allclose(got, ndtr(x), rtol=1e-12, atol=0)
+    assert _ndtr(-math.inf) == 0.0 and _ndtr(math.inf) == 1.0
 
 
 def test_partial_moment_total_mass():
