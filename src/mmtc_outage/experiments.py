@@ -13,6 +13,7 @@ mode), which is the densest interference the scenario can produce.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -26,6 +27,7 @@ __all__ = [
     "EXPERIMENTS",
     "ExperimentSpec",
     "ExperimentResult",
+    "FloatTable",
     "empirical_cdf",
     "full_reuse_allocation",
     "run_experiment",
@@ -97,11 +99,38 @@ class ExperimentSpec:
         )
 
 
+class FloatTable(Sequence):
+    """Rows of an all-float table, kept as one read-only float64 array and
+    read back as tuples of Python floats, so it compares and hashes like the
+    tuple of row tuples it stands for.  A value takes 8 bytes instead of the
+    about 32 of a float object and its tuple slot, which counts for
+    grid-sized tables (cdf_compare has one row per grid point)."""
+
+    def __init__(self, columns) -> None:
+        self._values = np.column_stack(columns).astype(float, copy=False)
+        self._values.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __getitem__(self, index):
+        rows = self._values[index].tolist()
+        return tuple(map(tuple, rows)) if isinstance(index, slice) else tuple(rows)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, FloatTable):
+            return np.array_equal(self._values, other._values)
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
 @dataclass(frozen=True)
 class ExperimentResult:
     spec_line: str
     columns: tuple[str, ...]
-    rows: tuple[tuple, ...]
+    rows: Sequence[tuple]
 
 
 def _derived_entropy(seed: int, point: int, rep: int) -> tuple[int, int]:
@@ -161,11 +190,7 @@ def _cdf_compare(spec: ExperimentSpec) -> ExperimentResult:
         binned = approx.discretize(reference.lower, reference.upper, reference.num_bins)
         curves.append(np.cumsum(binned.masses))
     columns = ("gamma", "cdf_ref") + tuple(f"cdf_gc{k}" for k in range(6))
-    rows = tuple(
-        (float(gamma[q]),) + tuple(float(c[q]) for c in curves)
-        for q in range(gamma.size)
-    )
-    return ExperimentResult(spec.summary(), columns, rows)
+    return ExperimentResult(spec.summary(), columns, FloatTable([gamma] + curves))
 
 
 def _series_divergence(scenario, alloc, orders, grid_points) -> dict[int, float]:
@@ -265,12 +290,10 @@ def _outage_cdf(spec: ExperimentSpec) -> ExperimentResult:
     grid = np.linspace(0.0, 1.0, spec.cdf_points)
     f_greedy = empirical_cdf(np.concatenate(greedy_values), grid)
     f_random = empirical_cdf(np.concatenate(random_values), grid)
-    rows = tuple(
-        (float(grid[k]), float(f_greedy[k]), float(f_random[k]))
-        for k in range(grid.size)
-    )
     return ExperimentResult(
-        spec.summary(), ("pout", "F_greedy", "F_random"), rows
+        spec.summary(),
+        ("pout", "F_greedy", "F_random"),
+        FloatTable([grid, f_greedy, f_random]),
     )
 
 

@@ -83,6 +83,23 @@ def test_empirical_cdf():
     assert got.tolist() == [0.0, 0.5, 0.5, 1.0]
 
 
+def test_float_table_reads_like_row_tuples():
+    columns = [np.array([0.0, 0.5, 1.0]), np.array([0.1, 0.2, 1.0 / 3.0])]
+    table = experiments.FloatTable(columns)
+    rows = ((0.0, 0.1), (0.5, 0.2), (1.0, 1.0 / 3.0))
+    assert len(table) == 3
+    assert table[1] == (0.5, 0.2) and table[-1] == rows[-1]
+    assert type(table[0][0]) is float
+    assert table[1:] == rows[1:]
+    assert tuple(table) == rows and list(table) == list(rows)
+    assert table == rows and rows == table and hash(table) == hash(rows)
+    assert table == experiments.FloatTable(columns)
+    assert table != experiments.FloatTable([columns[0], columns[1] + 1e-16])
+    assert np.array_equal(np.array(table), np.array(rows))
+    with pytest.raises(IndexError):
+        table[3]
+
+
 def test_full_reuse_allocation_shape():
     s = scn.generate_scenario(tiny_config())
     alloc = experiments.full_reuse_allocation(s)
