@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Run the full-scale configuration (M=2000 sensors, K=10 CNs, 10x10 beams).
 
-Slow: the multiple-resource greedy search alone takes tens of minutes.
-Pass --skip-multiple for a quicker single-resource-only run.
+The multiple-resource greedy search (`allocate --mode multiple`) took
+36.5 s on a 2-CPU host (Python 3.11, numpy 2.4).  Pass --skip-multiple
+for a quicker single-resource-only run.
 """
 
 import argparse

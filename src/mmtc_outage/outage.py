@@ -400,16 +400,18 @@ class GcOutageEngine:
     The interferer weights seen by a sensor depend only on its detection
     tuple, so the cumulant sums of every (destination, resource) pair can be
     assembled from a fixed (D, D, order) tensor of per-source-tuple power
-    sums.  One full objective evaluation then reduces to a couple of small
-    einsums plus a vectorized series tail over (sensor, resource) pairs.
+    sums.  One full objective evaluation then reduces to one ordered sum of
+    per-source-tuple terms plus a vectorized series tail over (sensor,
+    resource) pairs.
 
     The greedy allocator iterates :meth:`palette_outage`, which scores every
-    candidate color of one node in a single pass: each candidate gets its own
-    pair of einsums, and the affected (sensor, resource) pairs of all
-    candidates go through one series-tail evaluation, each distinct pair
-    once, in chunks of at most ``_PAIR_CHUNK_ROWS`` rows.
-    :meth:`outage_vector` is the one-candidate case of the same kernel, so
-    full, cached and palette evaluations return bitwise-identical vectors.
+    candidate color of one node in a single pass: the candidates share the
+    source-tuple sum but for the node's own term, and the affected (sensor,
+    resource) pairs of all candidates go through one series-tail evaluation,
+    each distinct pair once, in chunks of at most ``_PAIR_CHUNK_ROWS`` rows.
+    :meth:`outage_vector` is the one-candidate case of the same kernel, and
+    every sum runs over the source tuples in ascending order, so full, cached
+    and palette evaluations return bitwise-identical vectors.
 
     Requires the uniform per-sensor activity produced by the scenario
     generator (the per-tuple pooling folds the activity into per-tuple
@@ -431,17 +433,16 @@ class GcOutageEngine:
         self.activity = float(acts[0]) if acts.size else 0.0
         det = scenario.det_node
         num_tuples = scenario.num_tuples
-        powers = scenario.powers_at  # (D, M)
         exponents = np.arange(1, self.depth + 1)
-        weight_powers = powers[:, :, None] ** exponents  # (D, M, depth)
-        pooled = np.zeros((num_tuples, num_tuples, self.depth))
+        self.pooled = np.zeros((num_tuples, num_tuples, self.depth))  # (dest, source, order)
+        self.self_powers = np.empty((det.size, self.depth))  # (M, depth)
         for node in range(num_tuples):
-            members = det == node
-            if members.any():
-                pooled[:, node, :] = weight_powers[:, members, :].sum(axis=1)
-        self.pooled = pooled  # (dest, source tuple, order)
+            members = np.flatnonzero(det == node)
+            # one tuple's (D, members, depth) block, summed member by member
+            block = scenario.powers_at[:, members, None] ** exponents
+            self.pooled[:, node, :] = block.sum(axis=1)
+            self.self_powers[members] = block[node]
         self.tuple_counts = np.bincount(det, minlength=num_tuples)
-        self.self_powers = weight_powers[det, np.arange(det.size), :]  # (M, depth)
         self.thresholds = (
             scenario.own_power / scenario.config.detection_threshold
             - scenario.noise_power
@@ -465,7 +466,8 @@ class GcOutageEngine:
         holds = alloc.holds
         if cache is None:
             affected = np.ones((1, self.scenario.num_sensors), dtype=bool)
-            return self._outage(holds[None], affected, np.ones(affected.size), 0)[0]
+            last = self.scenario.num_tuples - 1  # one candidate: no suffix to add
+            return self._outage(holds[None], affected, np.ones(affected.size), last)[0]
         if changed is None:
             raise ValueError("cache updates need the changed-node triple")
         node, old_ids, _ = changed
@@ -504,9 +506,12 @@ class GcOutageEngine:
 
         The candidates may differ from each other only in row ``node``.  Row
         c recomputes the sensors of ``affected[c]`` and copies the rest from
-        ``base``.  Pairs are ordered by candidate, sensor, then ascending
-        resource, so each sensor's resource average is summed in the same
-        order whatever the batch.
+        ``base``.  Each pooled (destination, resource) sum adds the source
+        tuples' terms in strictly ascending tuple order, ``node``'s term taken
+        per candidate between the shared prefix and suffix, so palette,
+        cached and full results are bitwise equal.  Pairs are ordered by
+        candidate, sensor, then ascending resource, so each sensor's resource
+        average is summed in the same order whatever the batch.
         """
         det = self.scenario.det_node
         num_sensors = det.size
@@ -519,13 +524,20 @@ class GcOutageEngine:
         # (C, R+1, D) with row t for resource t, row 0 empty
         table = np.zeros((num_cands, num_resources + 1, num_tuples), dtype=bool)
         table[:, 1:, :] = holds.transpose(0, 2, 1)
-        # pooled cumulant sums and supports for every (destination, resource)
-        sums = np.stack(
-            [np.einsum("te,en,den->dtn", table[c], cvals[c], self.pooled) for c in range(num_cands)]
-        )
-        support = np.stack(
-            [np.einsum("te,de->dt", table[c], self.pooled[:, :, 0]) for c in range(num_cands)]
-        )
+        # Per-source (cumulant, support) terms for every (resource t, dest d):
+        # rows e < D from candidate 0, which shares all rows but ``node``'s;
+        # row D + k is ``node`` holding t among ``states[k]`` resources (0: not).
+        states = np.union1d(0, sizes[:, node])
+        state_p = np.where(states > 0, self.activity / np.maximum(states, 1), 0.0)
+        cv = np.concatenate([cvals[0], _bernoulli_cumulants(state_p, self.depth)])
+        src = self.pooled.transpose(1, 0, 2)[np.r_[:num_tuples, [node] * states.size]]
+        mask = np.concatenate([table[0].T, np.repeat(states[:, None] > 0, num_resources + 1, 1)])
+        q = np.concatenate([cv[:, None, :] * src, src[:, :, :1]], axis=2)
+        terms = mask[:, :, None, None].astype(float) * q[:, None]  # (source, t, d, depth + 1)
+        # ascending source order: shared prefix, node term per state, suffix
+        sums = np.add.reduce(terms[:node], axis=0, initial=0.0) + terms[num_tuples:]
+        for term in terms[node + 1 : num_tuples]:
+            sums += term
         counts = table @ self.tuple_counts  # (C, R+1) members per resource
 
         pair_cand, pair_sensor, pair_col = np.nonzero(
@@ -544,9 +556,9 @@ class GcOutageEngine:
         for lo in range(0, first.size, _PAIR_CHUNK_ROWS):
             rows = first[lo : lo + _PAIR_CHUNK_ROWS]
             c, i, t = pair_cand[rows], pair_sensor[rows], pair_col[rows] + 1
-            d = det[i]
-            kappa = sums[c, d, t, :] - cvals[c, d] * self.self_powers[i]
-            supports = support[c, d, t] - self.self_powers[i, 0]
+            d, s = det[i], np.searchsorted(states, node_state[rows])
+            kappa = sums[s, t, d, :-1] - cvals[c, d] * self.self_powers[i]
+            supports = sums[s, t, d, -1] - self.self_powers[i, 0]
             members = counts[c, t] - 1
             values[lo : lo + rows.size] = self._pair_values(
                 kappa, self.thresholds[i], supports, members

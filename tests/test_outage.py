@@ -384,6 +384,56 @@ def test_palette_scores_equal_full_recompute(mode, chunk_rows, monkeypatch):
                     assert np.array_equal(scores[color], expected)
 
 
+def assert_palette_equals_full_recompute(s, mode, nodes):
+    """Every full-palette score of each node equals a from-scratch vector."""
+    num_resources = s.config.num_resources
+    full = access.color_bound(mode, num_resources)
+    engine = outage.GcOutageEngine(s)
+    colors = np.random.default_rng(5).integers(0, full + 1, size=(s.num_cns, s.num_beams))
+    alloc = access.ResourceAllocation(mode, colors, num_resources)
+    cache = engine.outage_vector(alloc)
+    palette = access.decode_holds(np.arange(full + 1), mode, num_resources)
+    for node in nodes:
+        scores = engine.palette_outage(alloc.holds, node, palette, cache)
+        for color in range(full + 1):
+            recolored = alloc.colors.copy()
+            recolored.flat[node] = color
+            expected = engine.outage_vector(
+                access.ResourceAllocation(mode, recolored, num_resources)
+            )
+            assert np.array_equal(scores[color], expected), (node, color)
+
+
+# The source-tuple sum splits at the re-colored node into a shared prefix,
+# the node's own term and a shared suffix; these cases sit at its edges.
+
+
+@pytest.mark.parametrize("mode", ["single", "multiple"])
+def test_palette_at_first_and_last_node_equals_full_recompute(mode):
+    s = toy()
+    assert_palette_equals_full_recompute(s, mode, [0, s.num_tuples - 1])
+
+
+@pytest.mark.parametrize("activity", [0.0, 1.0])
+@pytest.mark.parametrize("mode", ["single", "multiple"])
+def test_palette_at_extreme_activity_equals_full_recompute(mode, activity):
+    s = toy(activity=activity)
+    assert_palette_equals_full_recompute(s, mode, range(s.num_tuples))
+
+
+@pytest.mark.parametrize("mode", ["single", "multiple"])
+def test_palette_with_one_tuple_equals_full_recompute(mode):
+    s = toy(num_cns=1, beams=1)
+    assert s.num_tuples == 1
+    assert_palette_equals_full_recompute(s, mode, [0])
+
+
+def test_palette_at_desk_tuple_count_equals_full_recompute():
+    s = toy(num_sensors=120, num_cns=5, beams=4, num_resources=4, area_side=400.0)
+    assert s.num_tuples >= 20
+    assert_palette_equals_full_recompute(s, "multiple", range(s.num_tuples))
+
+
 def test_engine_requires_uniform_activity():
     s = toy()
     lopsided = replace(s, activities=np.linspace(0.1, 0.5, s.num_sensors))
