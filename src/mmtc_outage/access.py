@@ -32,7 +32,6 @@ __all__ = [
     "decode_holds",
     "resource_mask",
     "interfering_set",
-    "effective_probability",
     "effective_probabilities",
     "write_allocation_csv",
     "read_allocation_csv",
@@ -206,16 +205,6 @@ def effective_probabilities(
     held = sizes > 0
     out[held] = scenario.activities[held] / sizes[held]
     return out
-
-
-def effective_probability(
-    alloc: ResourceAllocation, scenario: Scenario, sensor_index: int
-) -> float:
-    """Scalar form of :func:`effective_probabilities` for one sensor."""
-    size = int(alloc.set_sizes[scenario.det_node[sensor_index]])
-    if size == 0:
-        return 0.0
-    return float(scenario.activities[sensor_index]) / size
 
 
 def write_allocation_csv(alloc: ResourceAllocation, path: str | Path) -> None:

@@ -19,9 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import access, allocation, outage
+from . import access, allocation, outage, stats_core
 from .scenario import ScenarioConfig, config_summary, generate_scenario
-from .stats_core import build_model, gram_charlier, jsd
 
 __all__ = [
     "EXPERIMENTS",
@@ -44,6 +43,7 @@ EXPERIMENTS = (
 )
 
 _SWEEPING = {"error_vs_m", "error_vs_p", "outage_vs_m", "outage_vs_p"}
+_SERIES_BLOCK_ROWS = 16  # sensors per block: (rows, grid) temporaries of 128 KB at 1024 points
 
 
 @dataclass(frozen=True)
@@ -177,36 +177,59 @@ def _cdf_compare(spec: ExperimentSpec) -> ExperimentResult:
             f"sensor {spec.sensor} out of range for {scenario.num_sensors} sensors"
         )
     alloc = full_reuse_allocation(scenario)
-    weights, probs = outage.interference_terms(alloc, scenario, spec.sensor, 1)
     reference = outage.pooled_cf_densities(
         alloc, scenario, spec.grid_points, sensors=np.array([spec.sensor])
     )[(spec.sensor, 1)]
-    model = build_model(list(zip(weights, probs)))
     width = (reference.upper - reference.lower) / reference.num_bins
     gamma = reference.grid + width  # cdf evaluated at right bin edges
     curves = [np.cumsum(reference.masses)]
-    for order in range(6):
-        approx = gram_charlier(model, order)
-        binned = approx.discretize(reference.lower, reference.upper, reference.num_bins)
-        curves.append(np.cumsum(binned.masses))
+    for _, masses in _series_masses(alloc, scenario, [spec.sensor], [reference], range(6)):
+        curves.append(np.cumsum(masses[0]))
     columns = ("gamma", "cdf_ref") + tuple(f"cdf_gc{k}" for k in range(6))
     return ExperimentResult(spec.summary(), columns, FloatTable([gamma] + curves))
 
 
+def _series_masses(alloc, scenario, sensors, references, orders):
+    """Yield (order, masses): masses[r] is the order's gridded series law of
+    sensors[r] on resource 1, on references[r]'s grid.  One pass of
+    stats_core._series_coefficients covers every requested order."""
+    kappa, supports = [], []
+    for i in sensors:
+        weights, probs = outage.interference_terms(alloc, scenario, i, 1)
+        kappa.append(stats_core._moment_sums(weights, probs, 5)[1])
+        supports.append(weights.sum())
+    supports = np.array(supports)
+    mu, sigma, _, norm, an = stats_core._series_coefficients(
+        np.array(kappa), supports, orders, stats_core._ndtr_rows
+    )
+    cols = [v[:, None] for v in (mu, sigma, norm)]
+    lower = np.array([ref.lower for ref in references])
+    upper = np.array([ref.upper for ref in references])
+    for order, rows in zip(orders, an):
+        coeffs = rows.T[:, :, None]
+        yield order, stats_core._gridded_masses(
+            lambda x: stats_core._series_density(x, *cols, coeffs, 0.0, supports[:, None]),
+            lower, upper, references[0].num_bins,
+        )
+
+
 def _series_divergence(scenario, alloc, orders, grid_points) -> dict[int, float]:
     """Mean-over-sensors JSD between the gridded reference law and each
-    series order, all on the destination-shared reference grid."""
+    series order, all on the destination-shared reference grid.
+
+    Sensors are scored in blocks of ``_SERIES_BLOCK_ROWS`` rows: one
+    coefficient pass per block (the routine behind the scalar series and
+    the GC engine) covers every order, and each order's masses and
+    divergences are the scalar discretize and jsd applied row-wise.
+    """
     dists = outage.pooled_cf_densities(alloc, scenario, grid_points)
     sums = {order: 0.0 for order in orders}
-    for i in range(scenario.num_sensors):
-        reference = dists[(i, 1)]
-        weights, probs = outage.interference_terms(alloc, scenario, i, 1)
-        model = build_model(list(zip(weights, probs)))
-        for order in orders:
-            binned = gram_charlier(model, order).discretize(
-                reference.lower, reference.upper, reference.num_bins
-            )
-            sums[order] += jsd(reference, binned)
+    for start in range(0, scenario.num_sensors, _SERIES_BLOCK_ROWS):
+        sensors = range(start, min(start + _SERIES_BLOCK_ROWS, scenario.num_sensors))
+        references = [dists[(i, 1)] for i in sensors]
+        reference = np.array([ref.masses for ref in references])
+        for order, masses in _series_masses(alloc, scenario, sensors, references, orders):
+            sums[order] += float(stats_core._jsd_rows(reference, masses).sum())
     return {order: total / scenario.num_sensors for order, total in sums.items()}
 
 

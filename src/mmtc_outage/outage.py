@@ -32,12 +32,11 @@ from .access import (
 from .scenario import Scenario
 from .stats_core import (
     _GRID_OVERSAMPLE,
-    _HERMITE_COEFFS,
     _bernoulli_factor,
     _cf_spectrum_grid,
-    _cumulants_from_raw_moments,
     _invert_spectrum,
     _norm_pdf,
+    _series_coefficients,
     DiscretizedDistribution,
     build_model,
     cf_density,
@@ -338,46 +337,18 @@ def _batched_series_tail(
     supports: np.ndarray,
     order: int,
 ) -> np.ndarray:
-    """Vectorized twin of the scalar series tail.
+    """Series tails for rows of cumulants, clamped to [0, 1].
 
     ``kappa[:, n]`` holds cumulant order n+1 (at least two columns); callers
     must have dealt with thresholds outside (0, support) and zero-variance
-    rows already.  Mirrors gram_charlier_from_cumulants + tail_probability
-    arithmetic step for step, so the two agree to rounding.
+    rows already.  The coefficients come from stats_core's
+    _series_coefficients, the routine behind the scalar series and the
+    experiments' divergence sweeps; the tail is the closed-form partial
+    moment recursion of :func:`tail_probability`, evaluated row-wise.
     """
     from scipy.special import ndtr  # ~24 MB; only the batched engine needs it
-    mu = kappa[:, 0]
-    sigma = np.sqrt(kappa[:, 1])
-    alpha = -mu / sigma
-    beta = (supports - mu) / sigma
-    norm = ndtr(beta) - ndtr(alpha)
-    pa = _norm_pdf(alpha)
+    mu, sigma, beta, norm, (an,) = _series_coefficients(kappa, supports, (order,), ndtr)
     pb = _norm_pdf(beta)
-
-    btilde = np.zeros((kappa.shape[0], 6))
-    btilde[:, 0] = 1.0
-    if order >= 1:
-        moments = [np.ones_like(mu)]
-        for i in range(1, order + 1):
-            boundary = (alpha ** (i - 1) * pa - beta ** (i - 1) * pb) / norm
-            prev = (i - 1) * moments[i - 2] if i >= 2 else 0.0
-            moments.append(boundary + prev)
-        std_cums = _cumulants_from_raw_moments(np.stack(moments[1:], axis=0))
-        kernel_cums = np.empty((kappa.shape[0], order))
-        kernel_cums[:, 0] = mu + sigma * std_cums[0]
-        for n in range(2, order + 1):
-            kernel_cums[:, n - 1] = sigma**n * std_cums[n - 1]
-        eta = kappa[:, :order] - kernel_cums
-        bell = [np.ones_like(mu)]
-        for m in range(order):
-            acc = np.zeros_like(mu)
-            for k in range(m + 1):
-                acc += math.comb(m, k) * bell[m - k] * eta[:, k]
-            bell.append(acc)
-        for m in range(1, order + 1):
-            btilde[:, m] = bell[m] / (math.factorial(m) * sigma**m)
-    an = btilde @ _HERMITE_COEFFS
-
     lo = (thresholds - mu) / sigma
     plo = _norm_pdf(lo)
     partial = [ndtr(beta) - ndtr(lo), plo - pb]
@@ -696,10 +667,13 @@ def batch_cf_outage(
     """Per-sensor CF-method outage, factor-pooled per destination tuple.
 
     Spectra are leave-one-out factor products (:func:`_pooled_pass`), exact
-    at every activity, and match the scalar route up to the grid convention:
-    sensors detected at one tuple share a grid sized to its pooled support,
-    so tails can differ from per-sensor grids by one grid cell's mass.  Edge
-    conventions are identical to :func:`outage_single`.
+    at every activity; sensors detected at one tuple share a grid sized to
+    its pooled support, and a tail is read off that grid's coarse bins.  The
+    bin-level reading is not bounded by one cell's mass: on desk.cfg's
+    random allocations the default 4096 points differ from a 2^15-point
+    pass by up to 0.044 (single mode) and 0.025 (multiple mode), for
+    sensors whose headroom sits a few cells above zero (ROADMAP item 2).
+    Edge conventions are identical to :func:`outage_single`.
     """
     det = scenario.det_node
     thresholds = (

@@ -34,7 +34,6 @@ __all__ = [
     "assemble_scenario",
     "generate_scenario",
     "beam_select",
-    "received_powers",
     "load_scenario_config",
     "config_summary",
     "write_scenario_csv",
@@ -173,12 +172,6 @@ class Scenario:
     @property
     def num_tuples(self) -> int:
         return self.num_cns * self.num_beams
-
-    def tuple_index(self, cn: int, beam: int) -> int:
-        if not (0 <= cn < self.num_cns and 0 <= beam < self.num_beams):
-            raise IndexError(f"no tuple ({cn}, {beam}) in a "
-                             f"{self.num_cns}x{self.num_beams} deployment")
-        return cn * self.num_beams + beam
 
     def detection_tuple(self, sensor_index: int) -> tuple[int, int]:
         cn, beam = divmod(int(self.det_node[sensor_index]), self.num_beams)
@@ -423,18 +416,6 @@ def beam_select(scenario: Scenario, sensor_index: int) -> tuple[int, int]:
     )
     node = int(np.argmax(snr))
     return divmod(node, scenario.num_beams)
-
-
-def received_powers(
-    scenario: Scenario, sensor_index: int
-) -> tuple[float, dict[int, float]]:
-    """Own power and each other sensor's power at this sensor's detector."""
-    row = scenario.powers_at[scenario.det_node[sensor_index]]
-    own = float(row[sensor_index])
-    interferers = {
-        j: float(row[j]) for j in range(scenario.num_sensors) if j != sensor_index
-    }
-    return own, interferers
 
 
 _INT_FIELDS = frozenset(

@@ -111,13 +111,14 @@ _HERMITE_COEFFS = np.array(
 
 
 def collect_power_coefficients(coeffs) -> np.ndarray:
-    """Collapse sum_n c_n He_n(x), n <= 5, into plain coefficients of x^0..x^5."""
+    """Collapse sum_n c_n He_n(x), n <= 5, into plain coefficients of x^0..x^5
+    (one row of coefficients along the last axis)."""
     c = np.asarray(coeffs, dtype=float)
-    if c.ndim != 1 or c.size > 6:
+    if c.ndim not in (1, 2) or c.shape[-1] > 6:
         raise ValueError("expected at most six series coefficients")
-    padded = np.zeros(6)
-    padded[: c.size] = c
-    return padded @ _HERMITE_COEFFS
+    if c.shape[-1] < 6:
+        c = np.concatenate([c, np.zeros(c.shape[:-1] + (6 - c.shape[-1],))], axis=-1)
+    return c @ _HERMITE_COEFFS
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +176,7 @@ class InterferenceModel:
     """Sum of independent weighted Bernoulli terms with cached statistics.
 
     ``raw_moments[k]`` stores sum_j p_j a_j^(k+1) and ``cumulants[k]`` the
-    (k+1)-th cumulant of the sum; use ``raw_moment(n)`` / ``cumulant(n)``
-    for the 1-based view.
+    (k+1)-th cumulant of the sum; ``cumulant(n)`` is the 1-based view.
     """
 
     terms: tuple[WeightedBernoulliTerm, ...]
@@ -186,23 +186,20 @@ class InterferenceModel:
     raw_moments: tuple[float, ...]
     cumulants: tuple[float, ...]
 
-    def raw_moment(self, n: int) -> float:
-        return self.raw_moments[n - 1]
-
     def cumulant(self, n: int) -> float:
         return self.cumulants[n - 1]
 
-    @property
-    def max_order(self) -> int:
-        return len(self.cumulants)
+
+def _moment_sums(a: np.ndarray, p: np.ndarray, max_order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Raw moments and cumulants 1..max_order of sum_j a_j Bernoulli(p_j); cumulants
+    come per term, where the recursion is exact, summed across terms."""
+    orders = np.arange(1, max_order + 1)
+    per_term_raw = p[None, :] * a[None, :] ** orders[:, None]
+    return per_term_raw.sum(axis=1), _cumulants_from_raw_moments(per_term_raw).sum(axis=1)
 
 
 def build_model(terms, max_order: int = 5) -> InterferenceModel:
-    """Assemble an interference model with moments and cumulants to max_order.
-
-    Cumulants are obtained per term, where the raw-to-cumulant recursion is
-    exact, and then summed across terms (additivity for independent sums).
-    """
+    """Assemble an interference model with moments and cumulants to max_order."""
     if max_order < 2:
         raise ValueError("max_order must be at least 2")
     a, p = _term_arrays(terms)
@@ -212,10 +209,7 @@ def build_model(terms, max_order: int = 5) -> InterferenceModel:
     if a.size == 0:
         zeros = (0.0,) * max_order
         return InterferenceModel((), 0.0, 0.0, 0.0, zeros, zeros)
-    orders = np.arange(1, max_order + 1)
-    per_term_raw = p[None, :] * a[None, :] ** orders[:, None]
-    raw_sums = per_term_raw.sum(axis=1)
-    cumulants = _cumulants_from_raw_moments(per_term_raw).sum(axis=1)
+    raw_sums, cumulants = _moment_sums(a, p, max_order)
     return InterferenceModel(
         terms=term_objs,
         support_bound=float(a.sum()),
@@ -379,9 +373,6 @@ class DiscretizedDistribution:
     def grid(self) -> np.ndarray:
         return self.lower + self.bin_width * np.arange(self.masses.size)
 
-    def cdf_values(self) -> np.ndarray:
-        return np.cumsum(self.masses)
-
     def tail(self, threshold: float) -> float:
         """Mass at grid points strictly above ``threshold``."""
         return float(self.masses[self.grid > threshold].sum())
@@ -398,18 +389,24 @@ def sup_cdf_distance(p: DiscretizedDistribution, q: DiscretizedDistribution) -> 
     return float(np.max(np.abs(np.cumsum(p.masses) - np.cumsum(q.masses))))
 
 
+def _jsd_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Jensen-Shannon divergences in bits between mass rows along the last
+    axis (leading axes broadcast); zero-mass bins contribute nothing."""
+    mid = 0.5 * (p + q)
+    total = 0.0
+    for m in (p, q):
+        # mid > 0 guards subnormal masses whose halved midpoint underflows to 0;
+        # such bins carry ~1e-320 mass and contribute nothing at double precision
+        keep = (m > 0) & (mid > 0)
+        ratio = np.divide(m, mid, out=np.ones_like(mid), where=keep)
+        total = total + np.sum(m * np.log2(ratio), axis=-1)
+    return np.clip(0.5 * total, 0.0, 1.0)
+
+
 def jsd(p: DiscretizedDistribution, q: DiscretizedDistribution) -> float:
     """Jensen-Shannon divergence in bits; zero-mass bins contribute nothing."""
     _require_same_grid(p, q)
-    pm, qm = p.masses, q.masses
-    mid = 0.5 * (pm + qm)
-    # mid > 0 guards subnormal masses whose halved midpoint underflows to 0;
-    # such bins carry ~1e-320 mass and contribute nothing at double precision
-    kp = (pm > 0) & (mid > 0)
-    kq = (qm > 0) & (mid > 0)
-    kl_p = float(np.sum(pm[kp] * np.log2(pm[kp] / mid[kp])))
-    kl_q = float(np.sum(qm[kq] * np.log2(qm[kq] / mid[kq])))
-    return min(max(0.5 * (kl_p + kl_q), 0.0), 1.0)
+    return float(_jsd_rows(p.masses, q.masses))
 
 
 def _cf_spectrum_grid(upper: float, fine: int) -> tuple[np.ndarray, np.ndarray]:
@@ -495,25 +492,38 @@ class TruncatedGaussianKernel:
     kernel_raw_moments: tuple[float, ...]
     kernel_cumulants: tuple[float, ...]
 
-    def standardize(self, x):
-        return (np.asarray(x, dtype=float) - self.mu) / self.sigma
-
     def density(self, x):
         arr = np.asarray(x, dtype=float)
-        z = (arr - self.mu) / self.sigma
-        vals = _norm_pdf(z) / (self.sigma * self.normalization)
-        vals = np.where((arr >= self.lower) & (arr <= self.upper), vals, 0.0)
+        vals = _series_density(
+            arr, self.mu, self.sigma, self.normalization, (1, 0, 0, 0, 0, 0), self.lower, self.upper
+        )
         return float(vals) if arr.ndim == 0 else vals
 
 
-def truncated_kernel(mu, sigma, lower, upper, max_order: int = 5) -> TruncatedGaussianKernel:
-    """Truncated-Gaussian kernel with raw moments and cumulants to max_order.
-
-    Standardized moments follow the boundary recursion
+def _kernel_cumulants(mu, sigma, alpha, beta, norm, order: int):
+    """Standardized moments 0..order and cumulants 1..order of the Gaussian
+    (mu, sigma) truncated to [alpha, beta] in standard units (mass ``norm``),
+    for scalars or rows.  The moments follow the boundary recursion
     L_i = (alpha^(i-1) phi(alpha) - beta^(i-1) phi(beta)) / F + (i-1) L_(i-2);
-    cumulants come from the standardized moments, then are shifted and
-    scaled back, which avoids large-mean cancellation.
-    """
+    cumulants come from them, then are shifted and scaled back, which avoids
+    large-mean cancellation."""
+    pa = _norm_pdf(alpha)
+    pb = _norm_pdf(beta)
+    moments = [np.ones_like(mu)]
+    for i in range(1, order + 1):
+        boundary = (alpha ** (i - 1) * pa - beta ** (i - 1) * pb) / norm
+        moments.append(boundary + ((i - 1) * moments[i - 2] if i >= 2 else 0.0))
+    if order == 0:
+        return moments, []
+    std_cums = _cumulants_from_raw_moments(np.stack(moments[1:], axis=0))
+    cums = [mu + sigma * std_cums[0]]
+    cums.extend(sigma**n * std_cums[n - 1] for n in range(2, order + 1))
+    return moments, cums
+
+
+def truncated_kernel(mu, sigma, lower, upper, max_order: int = 5) -> TruncatedGaussianKernel:
+    """Truncated-Gaussian kernel with raw moments and cumulants to max_order
+    (see :func:`_kernel_cumulants`)."""
     if not sigma > 0:
         raise ValueError("sigma must be positive")
     if not lower < upper:
@@ -530,29 +540,82 @@ def truncated_kernel(mu, sigma, lower, upper, max_order: int = 5) -> TruncatedGa
             f"truncation window [{lower}, {upper}] carries no mass "
             f"for mu={mu}, sigma={sigma}"
         )
-    pa = float(_norm_pdf(alpha))
-    pb = float(_norm_pdf(beta))
-    std_moments = [1.0]
-    for i in range(1, max_order + 1):
-        boundary = (alpha ** (i - 1) * pa - beta ** (i - 1) * pb) / norm
-        std_moments.append(boundary + ((i - 1) * std_moments[i - 2] if i >= 2 else 0.0))
-    raw: list[float] = []
-    cums: list[float] = []
-    if max_order >= 1:
-        std = np.asarray(std_moments[1:], dtype=float)
-        std_cums = _cumulants_from_raw_moments(std[:, None])[:, 0]
-        for k in range(1, max_order + 1):
-            raw.append(
-                math.fsum(
-                    math.comb(k, i) * sigma**i * mu ** (k - i) * std_moments[i]
-                    for i in range(k + 1)
-                )
-            )
-        cums.append(mu + sigma * float(std_cums[0]))
-        cums.extend(sigma**n * float(std_cums[n - 1]) for n in range(2, max_order + 1))
+    std_moments, cums = _kernel_cumulants(mu, sigma, alpha, beta, norm, max_order)
+    raw = [
+        math.fsum(
+            math.comb(k, i) * sigma**i * mu ** (k - i) * std_moments[i]
+            for i in range(k + 1)
+        )
+        for k in range(1, max_order + 1)
+    ]
     return TruncatedGaussianKernel(
-        mu, sigma, float(lower), float(upper), norm, tuple(raw), tuple(cums)
+        mu, sigma, float(lower), float(upper), norm, tuple(raw), tuple(map(float, cums))
     )
+
+
+def _series_coefficients(kappa: np.ndarray, supports: np.ndarray, orders, ndtr):
+    """Series coefficients for rows of cumulants of laws on [0, support].
+
+    ``kappa[:, n]`` holds cumulant n+1 (at least max(max(orders), 2)
+    columns); ``ndtr`` is the caller's array normal cdf.  A row with no
+    variance or no kernel mass raises, as the scalar route does.  Returns
+    (mu, sigma, beta, norm, an): the kernel's location, scale, standardized
+    upper edge and mass, and ``an[j][r]``, the z^0..z^5 coefficients of row
+    r's order-``orders[j]`` series.  An order-o series uses the first o + 1
+    Bell terms of any higher order, so all orders come from one pass."""
+    if np.any(kappa[:, 1] <= 0):
+        raise DegenerateModelError("zero-variance model has no continuous approximation")
+    mu = kappa[:, 0]
+    sigma = np.sqrt(kappa[:, 1])
+    alpha = -mu / sigma
+    beta = (supports - mu) / sigma
+    norm = ndtr(beta) - ndtr(alpha)
+    if np.any(norm < 1e-300):
+        raise DegenerateKernelError("truncation window [0, support] carries no kernel mass")
+    top = max(orders)
+    btilde = np.zeros((kappa.shape[0], 6))
+    btilde[:, 0] = 1.0
+    if top >= 1:
+        _, kernel_cums = _kernel_cumulants(mu, sigma, alpha, beta, norm, top)
+        eta = kappa[:, :top] - np.column_stack(kernel_cums)
+        bell = [np.ones_like(mu)]
+        for m in range(top):
+            acc = np.zeros_like(mu)
+            for k in range(m + 1):
+                acc += math.comb(m, k) * bell[m - k] * eta[:, k]
+            bell.append(acc)
+        for m in range(1, top + 1):
+            btilde[:, m] = bell[m] / (math.factorial(m) * sigma**m)
+    an = [collect_power_coefficients(btilde[:, : o + 1]) for o in orders]
+    return mu, sigma, beta, norm, an
+
+
+def _ndtr_rows(x: np.ndarray) -> np.ndarray:
+    return np.array([_ndtr(v) for v in x.tolist()])
+
+
+def _series_density(x, mu, sigma, norm, an, lower, upper):
+    """Series density at x, zero outside [lower, upper]; the parameters
+    broadcast against x and an[m] is the coefficient of z^m, m = 0..5."""
+    z = (x - mu) / sigma
+    series = an[5]
+    for m in range(4, -1, -1):
+        series = series * z + an[m]
+    vals = series * _norm_pdf(z) / (sigma * norm)
+    return np.where((x >= lower) & (x <= upper), vals, 0.0)
+
+
+def _gridded_masses(density, lower: np.ndarray, upper: np.ndarray, num_bins: int) -> np.ndarray:
+    """Midpoint-rule masses of row densities, row r on a uniform grid over
+    [lower[r], upper[r]), clipped at zero and renormalized per row."""
+    width = (upper[:, None] - lower[:, None]) / num_bins
+    mids = lower[:, None] + width * (np.arange(num_bins) + 0.5)
+    masses = np.clip(density(mids) * width, 0.0, None)
+    total = masses.sum(axis=1, keepdims=True)
+    if np.any(total <= 0):
+        raise ValueError("density vanished on the requested grid")
+    masses /= total
+    return masses
 
 
 @dataclass(frozen=True)
@@ -561,30 +624,20 @@ class GramCharlierApprox:
 
     kernel: TruncatedGaussianKernel
     order: int
-    eta: tuple[float, ...]
-    bell_coeffs: tuple[float, ...]
     an_coeffs: tuple[float, ...]
 
     def density(self, x):
         k = self.kernel
         arr = np.asarray(x, dtype=float)
-        z = (arr - k.mu) / k.sigma
-        series = np.full_like(z, self.an_coeffs[5])
-        for m in range(4, -1, -1):
-            series = series * z + self.an_coeffs[m]
-        vals = series * _norm_pdf(z) / (k.sigma * k.normalization)
-        vals = np.where((arr >= k.lower) & (arr <= k.upper), vals, 0.0)
+        vals = _series_density(
+            arr, k.mu, k.sigma, k.normalization, self.an_coeffs, k.lower, k.upper
+        )
         return float(vals) if arr.ndim == 0 else vals
 
     def discretize(self, lower: float, upper: float, num_bins: int) -> DiscretizedDistribution:
         """Midpoint-rule masses on a uniform grid, clipped at zero, renormalized."""
-        width = (upper - lower) / num_bins
-        mids = lower + width * (np.arange(num_bins) + 0.5)
-        masses = np.clip(self.density(mids) * width, 0.0, None)
-        total = masses.sum()
-        if total <= 0:
-            raise ValueError("density vanished on the requested grid")
-        return DiscretizedDistribution(lower, upper, masses / total)
+        masses = _gridded_masses(self.density, np.array([lower]), np.array([upper]), num_bins)
+        return DiscretizedDistribution(lower, upper, masses[0])
 
 
 def gram_charlier_from_cumulants(cumulants, support_bound: float, order: int = 5) -> GramCharlierApprox:
@@ -594,27 +647,16 @@ def gram_charlier_from_cumulants(cumulants, support_bound: float, order: int = 5
     cums = [float(c) for c in cumulants]
     if len(cums) < max(order, 2):
         raise ValueError("need cumulants up to the requested order (at least 2)")
-    mean, variance = cums[0], cums[1]
-    if variance <= 0:
-        raise DegenerateModelError("zero-variance model has no continuous approximation")
-    sigma = math.sqrt(variance)
-    kernel = truncated_kernel(mean, sigma, 0.0, float(support_bound), max_order=order)
-    eta = tuple(cums[n] - kernel.kernel_cumulants[n] for n in range(order))
-    bell = [1.0]
-    for n in range(1, order + 1):
-        bell.append(bell_complete(n, eta[:n]) / (math.factorial(n) * sigma**n))
-    an = collect_power_coefficients(bell)
-    return GramCharlierApprox(kernel, order, eta, tuple(bell), tuple(float(v) for v in an))
+    support = float(support_bound)
+    _, sigma, _, _, an = _series_coefficients(
+        np.array([cums]), np.array([support]), (order,), _ndtr_rows
+    )
+    kernel = truncated_kernel(cums[0], float(sigma[0]), 0.0, support, max_order=order)
+    return GramCharlierApprox(kernel, order, tuple(an[0][0].tolist()))
 
 
 def gram_charlier(model: InterferenceModel, order: int = 5) -> GramCharlierApprox:
     """Series approximation of order 0..5 for the model's law on [0, J]."""
-    if order > 5:
-        raise ValueError(f"series order above 5 is unsupported, got {order}")
-    if order < 0:
-        raise ValueError("series order must be nonnegative")
-    if len(model.cumulants) < max(order, 2):
-        raise ValueError("model was built with too few cumulant orders")
     return gram_charlier_from_cumulants(model.cumulants, model.support_bound, order)
 
 

@@ -9,7 +9,6 @@ from mmtc_outage.access import (
     decode_holds,
     decode_resources,
     effective_probabilities,
-    effective_probability,
     encode_resources,
     interfering_set,
     read_allocation_csv,
@@ -244,11 +243,12 @@ def test_effective_probability_values(toy_scenario):
     colors = np.zeros(6, dtype=int)
     colors[node] = 7  # resources {1, 2, 3}
     alloc = alloc_for(toy_scenario, "multiple", colors.reshape(3, 2))
-    assert effective_probability(alloc, toy_scenario, 0) == pytest.approx(0.12 / 3)
+    p = effective_probabilities(alloc, toy_scenario)
+    assert p[0] == pytest.approx(0.12 / 3)
     off_node_sensor = next(
         j for j in range(24) if toy_scenario.det_node[j] != node
     )
-    assert effective_probability(alloc, toy_scenario, off_node_sensor) == 0.0
+    assert p[off_node_sensor] == 0.0
 
 
 def test_single_resource_keeps_raw_activity(toy_scenario):

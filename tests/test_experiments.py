@@ -1,10 +1,18 @@
 """Experiment-runner tests: spec validation, CSV contracts, determinism."""
 
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from mmtc_outage import experiments
+from mmtc_outage import experiments, outage
 from mmtc_outage import scenario as scn
+from mmtc_outage.stats_core import DegenerateModelError, build_model, gram_charlier, jsd
+
+DESK = scn.load_scenario_config(Path(__file__).resolve().parents[1] / "configs" / "desk.cfg")
 
 
 def tiny_config(**overrides):
@@ -182,6 +190,89 @@ def test_error_sweep_is_deterministic(tmp_path):
     assert pa.read_bytes() == pb.read_bytes()
     shifted = experiments.run_experiment(spec_for("error_vs_m", sweep=(10,), orders=(5,), reps=2, seed=4))
     assert shifted != a
+
+
+# ---------------------------------------------------------------------------
+# batched series scoring against the scalar route
+
+
+def _desk_full_reuse(activity, num_sensors=40):
+    s = scn.generate_scenario(replace(DESK, num_sensors=num_sensors, activity=activity, seed=7))
+    return s, experiments.full_reuse_allocation(s)
+
+
+def _scalar_curves(alloc, s, sensor, reference, orders):
+    """The per-sensor scalar route: build_model -> gram_charlier -> discretize."""
+    weights, probs = outage.interference_terms(alloc, s, sensor, 1)
+    model = build_model(list(zip(weights, probs)))
+    return {
+        order: gram_charlier(model, order).discretize(
+            reference.lower, reference.upper, reference.num_bins
+        )
+        for order in orders
+    }
+
+
+@pytest.mark.parametrize("activity", [0.1, 0.3, 0.5])
+@pytest.mark.parametrize("block_rows", [1, 16, 1000])
+def test_series_divergence_equals_scalar_loop(monkeypatch, activity, block_rows):
+    s, alloc = _desk_full_reuse(activity)
+    grid = 256
+    dists = outage.pooled_cf_densities(alloc, s, grid)
+    scalar = {order: 0.0 for order in range(6)}
+    for i in range(s.num_sensors):
+        for order, binned in _scalar_curves(alloc, s, i, dists[(i, 1)], range(6)).items():
+            scalar[order] += jsd(dists[(i, 1)], binned)
+    monkeypatch.setattr(experiments, "_SERIES_BLOCK_ROWS", block_rows)
+    for orders in (tuple(range(6)), (0, 5), (5,)):
+        got = experiments._series_divergence(s, alloc, orders, grid)
+        assert list(got) == list(orders)
+        for order in orders:
+            expected = scalar[order] / s.num_sensors
+            assert got[order] == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("activity", [0.1, 0.5])
+def test_cdf_compare_rows_equal_scalar_route(activity):
+    spec = experiments.ExperimentSpec(
+        "cdf_compare", replace(DESK, num_sensors=40, activity=activity), seed=2,
+        sensor=5, grid_points=256,
+    )
+    table = np.array(experiments.run_experiment(spec).rows)
+    scenario_seed, _ = experiments._derived_entropy(spec.seed, 0, 0)
+    s = scn.generate_scenario(replace(spec.config, seed=scenario_seed))
+    alloc = experiments.full_reuse_allocation(s)
+    reference = outage.pooled_cf_densities(alloc, s, 256, sensors=np.array([5]))[(5, 1)]
+    curves = _scalar_curves(alloc, s, 5, reference, range(6))
+    for order in range(6):
+        expected = np.cumsum(curves[order].masses)
+        np.testing.assert_allclose(table[:, 2 + order], expected, rtol=1e-12, atol=1e-300)
+
+
+@pytest.mark.parametrize("overrides", [dict(activity=1.0), dict(num_sensors=1)])
+def test_series_divergence_degenerate_models_raise(overrides):
+    s = scn.generate_scenario(replace(DESK, **{"num_sensors": 20, **overrides}))
+    with pytest.raises(DegenerateModelError):
+        experiments._series_divergence(s, experiments.full_reuse_allocation(s), range(6), 256)
+
+
+def test_error_sweeps_leave_scipy_special_unloaded():
+    # the series sweep and cdf_compare use the math.erfc normal cdf; only the
+    # batched GC engine imports scipy.special (tens of MB of resident memory)
+    code = (
+        "import sys\n"
+        "from mmtc_outage import experiments, scenario\n"
+        "cfg = scenario.ScenarioConfig(num_sensors=12, num_cns=2, antennas=4, beams=2)\n"
+        "for kind, extra in (('error_vs_p', dict(sweep=(0.2,))), ('cdf_compare', {})):\n"
+        "    experiments.run_experiment(experiments.ExperimentSpec(kind, cfg, grid_points=256, **extra))\n"
+        "print('scipy.special' in sys.modules)\n"
+    )
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={"PYTHONPATH": src, "PATH": ""},
+    )
+    assert done.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from mmtc_outage.scenario import (
     config_summary,
     generate_scenario,
     load_scenario_config,
-    received_powers,
     steering_vector,
     uniform_beam_filters,
     write_scenario_csv,
@@ -207,14 +206,6 @@ def test_own_power_consistent_with_powers_at():
     assert np.all(scn.own_power > 0)
     assert np.all(np.isfinite(scn.powers_at))
     assert np.all(scn.powers_at >= 0)
-
-
-def test_received_powers_map():
-    scn = generate_scenario(small_config(num_sensors=12))
-    own, others = received_powers(scn, 4)
-    assert own == scn.own_power[4]
-    assert len(others) == 11 and 4 not in others
-    assert others[0] == scn.powers_at[scn.det_node[4], 0]
 
 
 def test_interferer_power_depends_on_detector():

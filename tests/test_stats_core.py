@@ -10,7 +10,12 @@ from mmtc_outage.stats_core import (
     _GRID_OVERSAMPLE,
     _bernoulli_factor,
     _cf_spectrum_grid,
+    _gridded_masses,
+    _jsd_rows,
     _ndtr,
+    _ndtr_rows,
+    _series_coefficients,
+    _series_density,
     AtomicDistribution,
     DegenerateKernelError,
     DegenerateModelError,
@@ -22,6 +27,7 @@ from mmtc_outage.stats_core import (
     exact_pmf,
     gaussian_partial_moment,
     gram_charlier,
+    gram_charlier_from_cumulants,
     hermite,
     jsd,
     lyapunov_statistic,
@@ -394,6 +400,54 @@ def test_gc5_closer_than_gc0_in_divergence():
         j5 = jsd(ref, gram_charlier(model, 5).discretize(ref.lower, ref.upper, ref.num_bins))
         wins += j5 < j0
     assert wins >= 8
+
+
+def test_series_rows_match_one_row_calls():
+    # one order-5 pass over a block of rows gives every order's coefficients,
+    # masses and divergences of the one-row (scalar) route
+    models = [_random_model(seed, n=80, p=0.2) for seed in range(5)]
+    kappa = np.array([m.cumulants for m in models])
+    supports = np.array([m.support_bound for m in models])
+    mu, sigma, _, norm, an = _series_coefficients(kappa, supports, range(6), _ndtr_rows)
+    ref = cf_density(models[0].terms, 1 << 8)
+    lower, upper = np.full(5, ref.lower), np.full(5, ref.upper)
+    for order in range(6):
+        coeffs = an[order].T[:, :, None]
+        masses = _gridded_masses(
+            lambda x: _series_density(
+                x, mu[:, None], sigma[:, None], norm[:, None], coeffs, 0.0, supports[:, None]
+            ),
+            lower, upper, ref.num_bins,
+        )
+        divergences = _jsd_rows(ref.masses, masses)
+        for r, model in enumerate(models):
+            approx = gram_charlier(model, order)
+            scale = np.max(np.abs(an[order][r]))
+            np.testing.assert_allclose(an[order][r], approx.an_coeffs, rtol=1e-12, atol=1e-14 * scale)
+            binned = approx.discretize(ref.lower, ref.upper, ref.num_bins)
+            np.testing.assert_allclose(masses[r], binned.masses, rtol=1e-12, atol=1e-300)
+            assert divergences[r] == pytest.approx(jsd(ref, binned), rel=1e-12)
+
+
+def test_series_rows_raise_what_the_scalar_route_raises():
+    good = [1.0, 0.5, 0.1, 0.0, 0.0]
+    cases = (
+        ([1.0, 0.0, 0.0, 0.0, 0.0], 3.0, DegenerateModelError),  # zero variance
+        ([100.0, 1.0, 0.0, 0.0, 0.0], 10.0, DegenerateKernelError),  # no kernel mass
+    )
+    for cums, support, error in cases:
+        with pytest.raises(error):
+            gram_charlier_from_cumulants(cums, support, 5)
+        with pytest.raises(error):
+            _series_coefficients(
+                np.array([good, cums]), np.array([4.0, support]), (5,), _ndtr_rows
+            )
+    # a grid beyond the support: the density vanishes on every bin
+    approx = gram_charlier_from_cumulants(good, 4.0, 5)
+    with pytest.raises(ValueError, match="vanished"):
+        approx.discretize(20.0, 30.0, 64)
+    with pytest.raises(ValueError, match="vanished"):
+        _gridded_masses(approx.density, np.array([0.0, 20.0]), np.array([4.0, 30.0]), 64)
 
 
 # ---------------------------------------------------------------------------
