@@ -54,7 +54,6 @@ from .scenario import (
     Scenario,
     ScenarioConfig,
     assemble_scenario,
-    beam_select,
     generate_scenario,
     load_scenario_config,
     write_scenario_csv,

@@ -175,7 +175,6 @@ def greedy_allocate(
     *,
     graph: InterferenceGraph | None = None,
     engine: GcOutageEngine | None = None,
-    incremental: bool = True,
 ) -> GreedyResult:
     """Sweep-descent coloring that minimizes the scenario-average outage.
 
@@ -183,11 +182,10 @@ def greedy_allocate(
     descending-degree order, setting each to the smallest color attaining
     the minimum objective.  The palette is decoded once; each node's
     candidate colors are scored together by
-    :meth:`GcOutageEngine.palette_outage`, and a ``ResourceAllocation`` is
-    built only for the starting colors and the result.
-    ``incremental=False`` instead recomputes every sensor for every
-    candidate from a fresh allocation (validation mode); both settings
-    choose identical colors and produce identical traces.
+    :meth:`GcOutageEngine.palette_outage`, whose scores equal a full
+    :meth:`GcOutageEngine.outage_vector` of each re-colored allocation bit
+    for bit, and a ``ResourceAllocation`` is built only for the starting
+    colors and the result.
     """
     config = config or GreedyConfig()
     graph = graph or build_graph(scenario)
@@ -214,16 +212,7 @@ def greedy_allocate(
         for node in order:
             current = int(flat[node])
             options = [color for color in range(bound + 1) if color != current]
-            if incremental:
-                vectors = engine.palette_outage(holds, node, palette[options], cache)
-            else:
-                vectors = []
-                for color in options:
-                    candidate = flat.copy()
-                    candidate[node] = color
-                    vectors.append(engine.outage_vector(access.ResourceAllocation(
-                        mode, candidate.reshape(colors.shape), num_resources
-                    )))
+            vectors = engine.palette_outage(holds, node, palette[options], cache)
             best = (objective, current, cache)
             for color, vector in zip(options, vectors):
                 value = float(vector.mean())

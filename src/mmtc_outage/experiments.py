@@ -82,6 +82,8 @@ class ExperimentSpec:
             raise ValueError(f"grid_points must be a power of two >= 64, got {q}")
         if not self.orders or any(not 0 <= k <= 5 for k in self.orders):
             raise ValueError("orders must be a nonempty subset of 0..5")
+        if len(set(self.orders)) != len(self.orders):
+            raise ValueError(f"orders must not repeat, got {self.orders}")
         if self.cdf_points < 2:
             raise ValueError("cdf_points must be >= 2")
         if self.experiment in _SWEEPING and not self.sweep:
@@ -209,7 +211,7 @@ def _series_masses(alloc, scenario, sensors, references, orders):
         coeffs = rows.T[:, :, None]
         yield order, stats_core._gridded_masses(
             lambda x: stats_core._series_density(x, *cols, coeffs, 0.0, supports[:, None]),
-            lower, upper, references[0].num_bins,
+            lower, upper, references[0].num_bins, supports,
         )
 
 

@@ -32,11 +32,12 @@ from .access import (
 from .scenario import Scenario
 from .stats_core import (
     _GRID_OVERSAMPLE,
+    _bernoulli_cumulants,
     _bernoulli_factor,
     _cf_spectrum_grid,
     _invert_spectrum,
-    _norm_pdf,
     _series_coefficients,
+    _series_tails,
     DiscretizedDistribution,
     build_model,
     cf_density,
@@ -317,20 +318,6 @@ def monte_carlo_outage(
 # batched series evaluation
 
 
-def _bernoulli_cumulants(p: np.ndarray, max_order: int) -> np.ndarray:
-    """Cumulants 1..max_order of a unit-weight Bernoulli, stacked last axis."""
-    p = np.asarray(p, dtype=float)
-    q = 1.0 - p
-    cols = [
-        p,
-        p * q,
-        p * q * (1.0 - 2.0 * p),
-        p * q * (1.0 - 6.0 * p + 6.0 * p * p),
-        p * q * (1.0 - 2.0 * p) * (1.0 - 12.0 * p + 12.0 * p * p),
-    ]
-    return np.stack(cols[:max_order], axis=-1)
-
-
 def _batched_series_tail(
     kappa: np.ndarray,
     thresholds: np.ndarray,
@@ -341,25 +328,13 @@ def _batched_series_tail(
 
     ``kappa[:, n]`` holds cumulant order n+1 (at least two columns); callers
     must have dealt with thresholds outside (0, support) and zero-variance
-    rows already.  The coefficients come from stats_core's
-    _series_coefficients, the routine behind the scalar series and the
-    experiments' divergence sweeps; the tail is the closed-form partial
-    moment recursion of :func:`tail_probability`, evaluated row-wise.
+    rows already.  Coefficients and tails come from stats_core's
+    _series_coefficients and _series_tails, the routines behind the scalar
+    series, here with scipy's array normal cdf.
     """
     from scipy.special import ndtr  # ~24 MB; only the batched engine needs it
     mu, sigma, beta, norm, (an,) = _series_coefficients(kappa, supports, (order,), ndtr)
-    pb = _norm_pdf(beta)
-    lo = (thresholds - mu) / sigma
-    plo = _norm_pdf(lo)
-    partial = [ndtr(beta) - ndtr(lo), plo - pb]
-    for k in range(2, 6):
-        partial.append(
-            lo ** (k - 1) * plo - beta ** (k - 1) * pb + (k - 1) * partial[k - 2]
-        )
-    total = np.zeros_like(mu)
-    for m in range(6):
-        total += an[:, m] * partial[m]
-    return np.clip(total / norm, 0.0, 1.0)
+    return _series_tails(thresholds, mu, sigma, beta, norm, an, ndtr)
 
 
 _PAIR_CHUNK_ROWS = 1 << 15  # distinct (sensor, resource) pairs per series-tail call
@@ -375,14 +350,16 @@ class GcOutageEngine:
     per-source-tuple terms plus a vectorized series tail over (sensor,
     resource) pairs.
 
-    The greedy allocator iterates :meth:`palette_outage`, which scores every
-    candidate color of one node in a single pass: the candidates share the
-    source-tuple sum but for the node's own term, and the affected (sensor,
-    resource) pairs of all candidates go through one series-tail evaluation,
-    each distinct pair once, in chunks of at most ``_PAIR_CHUNK_ROWS`` rows.
-    :meth:`outage_vector` is the one-candidate case of the same kernel, and
-    every sum runs over the source tuples in ascending order, so full, cached
-    and palette evaluations return bitwise-identical vectors.
+    Both entry points run one kernel, :meth:`_outage`.  The greedy allocator
+    iterates :meth:`palette_outage`, which scores every candidate color of
+    one node in a single pass: the candidates share the source-tuple sum but
+    for the node's own term, and the affected (sensor, resource) pairs of
+    all candidates go through one series-tail evaluation (stats_core's
+    coefficient and tail routines, shared with the scalar series), each
+    distinct pair once, in chunks of at most ``_PAIR_CHUNK_ROWS`` rows.
+    :meth:`outage_vector` is the one-candidate case, and every sum runs over
+    the source tuples in ascending order, so palette scores equal full
+    evaluations of the re-colored allocations bit for bit.
 
     Requires the uniform per-sensor activity produced by the scenario
     generator (the per-tuple pooling folds the activity into per-tuple
@@ -419,45 +396,24 @@ class GcOutageEngine:
             - scenario.noise_power
         )
 
-    def outage_vector(
-        self,
-        alloc: ResourceAllocation,
-        *,
-        cache: np.ndarray | None = None,
-        changed: tuple[int, frozenset[int], frozenset[int]] | None = None,
-    ) -> np.ndarray:
-        """Per-sensor outage under ``alloc``.
-
-        With ``cache`` (the result before one node was re-colored) and
-        ``changed`` (node, old resource set, new resource set), only sensors
-        whose value can have moved are recomputed — those detected at the
-        changed node plus those whose tuple's set meets the union of old and
-        new resources; the new set is read from ``alloc``.
-        """
-        holds = alloc.holds
-        if cache is None:
-            affected = np.ones((1, self.scenario.num_sensors), dtype=bool)
-            last = self.scenario.num_tuples - 1  # one candidate: no suffix to add
-            return self._outage(holds[None], affected, np.ones(affected.size), last)[0]
-        if changed is None:
-            raise ValueError("cache updates need the changed-node triple")
-        node, old_ids, _ = changed
-        before = holds.copy()
-        before[node] = False
-        before[node, [t - 1 for t in old_ids]] = True
-        return self.palette_outage(before, node, holds[node][None], cache)[0]
+    def outage_vector(self, alloc: ResourceAllocation) -> np.ndarray:
+        """Per-sensor outage under ``alloc``: the one-candidate case of the
+        palette kernel, with the last tuple as its node (no suffix to add)."""
+        affected = np.ones((1, self.scenario.num_sensors), dtype=bool)
+        last = self.scenario.num_tuples - 1
+        return self._outage(alloc.holds[None], affected, np.ones(affected.size), last)[0]
 
     def palette_outage(
         self,
         holds: np.ndarray,
         node: int,
         options: np.ndarray,
-        cache: np.ndarray,
+        base: np.ndarray,
     ) -> np.ndarray:
         """(C, M) per-sensor outage with ``node`` re-colored to each option.
 
         ``holds`` is the current (D, R) incidence matrix
-        (:attr:`ResourceAllocation.holds`), ``cache`` its outage vector, and
+        (:attr:`ResourceAllocation.holds`), ``base`` its outage vector, and
         row c of ``options`` the decoded (R,) incidence of candidate color c.
         Row c equals ``outage_vector`` of the re-colored allocation, bit for
         bit.
@@ -468,7 +424,7 @@ class GcOutageEngine:
         moved = options | holds[node]  # (C, R)
         touched = (holds[None, :, :] & moved[:, None, :]).any(axis=2)  # (C, D)
         touched[:, node] = True
-        return self._outage(candidates, touched[:, self.scenario.det_node], cache, node)
+        return self._outage(candidates, touched[:, self.scenario.det_node], base, node)
 
     def _outage(
         self, holds: np.ndarray, affected: np.ndarray, base: np.ndarray, node: int
@@ -479,8 +435,8 @@ class GcOutageEngine:
         c recomputes the sensors of ``affected[c]`` and copies the rest from
         ``base``.  Each pooled (destination, resource) sum adds the source
         tuples' terms in strictly ascending tuple order, ``node``'s term taken
-        per candidate between the shared prefix and suffix, so palette,
-        cached and full results are bitwise equal.  Pairs are ordered by
+        per candidate between the shared prefix and suffix, so palette and
+        full results are bitwise equal.  Pairs are ordered by
         candidate, sensor, then ascending resource, so each sensor's resource
         average is summed in the same order whatever the batch.
         """
@@ -544,6 +500,10 @@ class GcOutageEngine:
         return out
 
     def _pair_values(self, kappa, thresholds, supports, members) -> np.ndarray:
+        """Outage of (sensor, resource) pairs from their cumulant rows, under
+        :func:`outage_single`'s conventions: 1 on negative headroom; 0 with
+        no interferer or with headroom at or above the support; a step at
+        the mean on zero variance; else the series tail."""
         values = np.zeros(kappa.shape[0])
         neg = thresholds < 0.0
         values[neg] = 1.0
@@ -564,9 +524,6 @@ class GcOutageEngine:
                     self.order,
                 )
         return values
-
-    def average(self, alloc: ResourceAllocation, **kw) -> float:
-        return float(self.outage_vector(alloc, **kw).mean())
 
 
 # ---------------------------------------------------------------------------

@@ -24,16 +24,12 @@ import numpy as np
 __all__ = [
     "SPEED_OF_LIGHT",
     "ScenarioConfig",
-    "CollectorNode",
-    "Sensor",
     "Scenario",
     "steering_vector",
     "beam_boresights",
     "uniform_beam_filters",
-    "channel",
     "assemble_scenario",
     "generate_scenario",
-    "beam_select",
     "load_scenario_config",
     "config_summary",
     "write_scenario_csv",
@@ -105,28 +101,6 @@ class ScenarioConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class CollectorNode:
-    """One collector: its index, planar position, and filter bank (columns)."""
-
-    index: int
-    position: np.ndarray  # shape (2,), meters
-    filters: np.ndarray  # complex, shape (antennas, beams)
-
-
-@dataclass(frozen=True, eq=False)
-class Sensor:
-    """Per-sensor view: placement, detection tuple, and link-budget scalars."""
-
-    index: int
-    position: np.ndarray  # shape (2,), meters
-    home_cn: int
-    activity: float
-    detection_tuple: tuple[int, int]  # (collector, beam)
-    own_power: float  # watts at the detecting filter output
-    noise_power: float  # watts at the detecting filter output
-
-
-@dataclass(frozen=True, eq=False)
 class Scenario:
     """A fully generated deployment.
 
@@ -144,7 +118,6 @@ class Scenario:
     positions: np.ndarray  # (M, 2)
     home_cn: np.ndarray  # (M,) int
     activities: np.ndarray  # (M,) float
-    channels: np.ndarray  # (K, M, N) complex
     powers_at: np.ndarray  # (D, M) watts, D = K * L
     filter_gains: np.ndarray  # (D,) squared filter norms
     det_node: np.ndarray  # (M,) int, flattened detection tuple
@@ -176,24 +149,6 @@ class Scenario:
     def detection_tuple(self, sensor_index: int) -> tuple[int, int]:
         cn, beam = divmod(int(self.det_node[sensor_index]), self.num_beams)
         return cn, beam
-
-    @property
-    def collector_nodes(self) -> tuple[CollectorNode, ...]:
-        return tuple(
-            CollectorNode(k, self.cn_positions[k], self.filters[k])
-            for k in range(self.num_cns)
-        )
-
-    def sensor(self, index: int) -> Sensor:
-        return Sensor(
-            index=index,
-            position=self.positions[index],
-            home_cn=int(self.home_cn[index]),
-            activity=float(self.activities[index]),
-            detection_tuple=self.detection_tuple(index),
-            own_power=float(self.own_power[index]),
-            noise_power=float(self.noise_power[index]),
-        )
 
 
 def steering_vector(angle: float, num_antennas: int) -> np.ndarray:
@@ -236,14 +191,6 @@ def _channels_for_cn(
     slots = 2.0 * math.pi * np.arange(config.antennas) / config.antennas
     phase = math.pi * np.cos(theta[:, None] - slots[None, :])
     return amp[:, None] * np.exp(1j * phase)
-
-
-def channel(
-    cn: CollectorNode, sensor_position: Sequence[float], config: ScenarioConfig
-) -> np.ndarray:
-    """Uplink channel (length-N complex vector) from one position to one CN."""
-    pos = np.asarray(sensor_position, dtype=float).reshape(1, 2)
-    return _channels_for_cn(np.asarray(cn.position, dtype=float), pos, config)[0]
 
 
 def _normalize_filters(
@@ -318,14 +265,11 @@ def assemble_scenario(
             raise ValueError(f"beam_angles must have shape ({num_beams},)")
     bank = _normalize_filters(filters, config)
 
-    channels = np.empty((num_cns, num_sensors, config.antennas), dtype=complex)
-    for k in range(num_cns):
-        channels[k] = _channels_for_cn(cn_positions[k], sensor_positions, config)
-
     # powers_at[k * L + l, j] = P * |g_{k,l}^H h_{k,j}|^2
     powers = np.empty((num_cns, num_beams, num_sensors))
     for k in range(num_cns):
-        projection = bank[k].conj().T @ channels[k].T  # (L, M)
+        channels = _channels_for_cn(cn_positions[k], sensor_positions, config)  # (M, N)
+        projection = bank[k].conj().T @ channels.T  # (L, M)
         powers[k] = np.abs(projection) ** 2
     powers_at = config.tx_power * powers.reshape(num_cns * num_beams, num_sensors)
 
@@ -343,7 +287,6 @@ def assemble_scenario(
         positions=sensor_positions,
         home_cn=home,
         activities=np.full(num_sensors, config.activity),
-        channels=channels,
         powers_at=powers_at,
         filter_gains=filter_gains,
         det_node=det_node,
@@ -402,20 +345,6 @@ def generate_scenario(
         config, cn_positions, sensor_positions, home,
         filters=filters, beam_angles=beam_angles,
     )
-
-
-def beam_select(scenario: Scenario, sensor_index: int) -> tuple[int, int]:
-    """Recompute the detecting tuple of one sensor from first principles.
-
-    Maximizes post-filter SNR |g^H h|^2 / (noise * ||g||^2) over all
-    collector/beam tuples; ties go to the smallest (collector, beam) pair.
-    ``Scenario.det_node`` caches exactly this.
-    """
-    snr = scenario.powers_at[:, sensor_index] / (
-        scenario.config.noise_power * scenario.filter_gains
-    )
-    node = int(np.argmax(snr))
-    return divmod(node, scenario.num_beams)
 
 
 _INT_FIELDS = frozenset(

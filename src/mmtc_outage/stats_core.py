@@ -37,7 +37,6 @@ __all__ = [
     "truncated_kernel",
     "gram_charlier",
     "gram_charlier_from_cumulants",
-    "gaussian_partial_moment",
     "tail_probability",
     "jsd",
     "sup_cdf_distance",
@@ -190,18 +189,33 @@ class InterferenceModel:
         return self.cumulants[n - 1]
 
 
+def _bernoulli_cumulants(p: np.ndarray, max_order: int) -> np.ndarray:
+    """Cumulants 1..max_order (at most 5) of a unit-weight Bernoulli, stacked
+    on the last axis."""
+    p = np.asarray(p, dtype=float)
+    q = 1.0 - p
+    cols = [
+        p,
+        p * q,
+        p * q * (1.0 - 2.0 * p),
+        p * q * (1.0 - 6.0 * p + 6.0 * p * p),
+        p * q * (1.0 - 2.0 * p) * (1.0 - 12.0 * p + 12.0 * p * p),
+    ]
+    return np.stack(cols[:max_order], axis=-1)
+
+
 def _moment_sums(a: np.ndarray, p: np.ndarray, max_order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Raw moments and cumulants 1..max_order of sum_j a_j Bernoulli(p_j); cumulants
-    come per term, where the recursion is exact, summed across terms."""
-    orders = np.arange(1, max_order + 1)
-    per_term_raw = p[None, :] * a[None, :] ** orders[:, None]
-    return per_term_raw.sum(axis=1), _cumulants_from_raw_moments(per_term_raw).sum(axis=1)
+    """Raw moments and cumulants 1..max_order of sum_j a_j Bernoulli(p_j); the
+    cumulants are sum_j kappa_n(p_j) a_j^n."""
+    powers = a[None, :] ** np.arange(1, max_order + 1)[:, None]
+    cumulants = _bernoulli_cumulants(p, max_order).T * powers
+    return (p * powers).sum(axis=1), cumulants.sum(axis=1)
 
 
 def build_model(terms, max_order: int = 5) -> InterferenceModel:
     """Assemble an interference model with moments and cumulants to max_order."""
-    if max_order < 2:
-        raise ValueError("max_order must be at least 2")
+    if not 2 <= max_order <= 5:
+        raise ValueError(f"max_order must lie in 2..5, got {max_order}")
     a, p = _term_arrays(terms)
     term_objs = tuple(
         WeightedBernoulliTerm(float(w), float(q)) for w, q in zip(a, p)
@@ -605,12 +619,19 @@ def _series_density(x, mu, sigma, norm, an, lower, upper):
     return np.where((x >= lower) & (x <= upper), vals, 0.0)
 
 
-def _gridded_masses(density, lower: np.ndarray, upper: np.ndarray, num_bins: int) -> np.ndarray:
+def _gridded_masses(
+    density, lower: np.ndarray, upper: np.ndarray, num_bins: int, support=None
+) -> np.ndarray:
     """Midpoint-rule masses of row densities, row r on a uniform grid over
-    [lower[r], upper[r]), clipped at zero and renormalized per row."""
+    [lower[r], upper[r]), clipped at zero and renormalized per row.  With
+    ``support``, row r's density lives on [0, support[r]], and a row whose
+    support lies inside its first bin, which the midpoint rule can miss,
+    gets unit mass in that bin."""
     width = (upper[:, None] - lower[:, None]) / num_bins
     mids = lower[:, None] + width * (np.arange(num_bins) + 0.5)
     masses = np.clip(density(mids) * width, 0.0, None)
+    if support is not None:
+        masses[(lower <= 0.0) & (support < lower + width[:, 0])] = np.eye(1, num_bins)
     total = masses.sum(axis=1, keepdims=True)
     if np.any(total <= 0):
         raise ValueError("density vanished on the requested grid")
@@ -635,8 +656,10 @@ class GramCharlierApprox:
         return float(vals) if arr.ndim == 0 else vals
 
     def discretize(self, lower: float, upper: float, num_bins: int) -> DiscretizedDistribution:
-        """Midpoint-rule masses on a uniform grid, clipped at zero, renormalized."""
-        masses = _gridded_masses(self.density, np.array([lower]), np.array([upper]), num_bins)
+        """Midpoint-rule masses on a uniform grid, clipped at zero, renormalized
+        (unit mass in the first bin when the support lies inside it)."""
+        support = np.array([self.kernel.upper])
+        masses = _gridded_masses(self.density, np.array([lower]), np.array([upper]), num_bins, support)
         return DiscretizedDistribution(lower, upper, masses[0])
 
 
@@ -664,40 +687,42 @@ def gram_charlier(model: InterferenceModel, order: int = 5) -> GramCharlierAppro
 # tails and diagnostics
 
 
-def gaussian_partial_moment(n: int, lo: float, hi: float) -> float:
-    """Integral of x^n phi(x) over [lo, hi] via the two-step recursion."""
-    if n < 0:
-        raise ValueError("moment order must be nonnegative")
-    if lo > hi:
-        raise ValueError("lo must not exceed hi")
-    plo = float(_norm_pdf(lo))
-    phi_hi = float(_norm_pdf(hi))
-    i_prev2 = _ndtr(hi) - _ndtr(lo)
-    if n == 0:
-        return i_prev2
-    i_prev1 = plo - phi_hi
-    if n == 1:
-        return i_prev1
-    cur = i_prev1
-    for k in range(2, n + 1):
-        cur = (lo ** (k - 1) * plo - hi ** (k - 1) * phi_hi) + (k - 1) * i_prev2
-        i_prev2, i_prev1 = i_prev1, cur
-    return cur
+def _series_tails(thresholds, mu, sigma, beta, norm, an, ndtr) -> np.ndarray:
+    """Upper-tail masses above ``thresholds`` of rows of series densities,
+    clamped to [0, 1].
+
+    The row parameters are those :func:`_series_coefficients` returns for
+    one order (``an[r]`` the z^0..z^5 coefficients of row r); ``ndtr`` is
+    the caller's array normal cdf.  Callers handle thresholds outside
+    [0, support) first.  The integral of z^n phi(z) over [lo, beta] follows
+    the two-step recursion I_n = lo^(n-1) phi(lo) - beta^(n-1) phi(beta)
+    + (n-1) I_(n-2), and the tail is sum_n an[:, n] I_n / norm.
+    """
+    pb = _norm_pdf(beta)
+    lo = (thresholds - mu) / sigma
+    plo = _norm_pdf(lo)
+    partial = [ndtr(beta) - ndtr(lo), plo - pb]
+    for k in range(2, 6):
+        partial.append(
+            lo ** (k - 1) * plo - beta ** (k - 1) * pb + (k - 1) * partial[k - 2]
+        )
+    total = np.zeros_like(mu)
+    for m in range(6):
+        total += an[:, m] * partial[m]
+    return np.clip(total / norm, 0.0, 1.0)
 
 
 def tail_probability(approx: GramCharlierApprox, threshold: float) -> float:
-    """Closed-form upper-tail mass of the series density, clamped to [0, 1]."""
+    """Closed-form upper-tail mass of the series density, clamped to [0, 1]
+    (the one-row case of :func:`_series_tails`)."""
     k = approx.kernel
     if threshold < k.lower:
         return 1.0
     if threshold >= k.upper:
         return 0.0
-    lo = (threshold - k.mu) / k.sigma
-    hi = (k.upper - k.mu) / k.sigma
-    total = math.fsum(
-        c * gaussian_partial_moment(m, lo, hi) for m, c in enumerate(approx.an_coeffs)
-    )
-    return min(max(total / k.normalization, 0.0), 1.0)
+    beta = (k.upper - k.mu) / k.sigma
+    rows = [np.array([v]) for v in (threshold, k.mu, k.sigma, beta, k.normalization)]
+    return float(_series_tails(*rows, np.array([approx.an_coeffs]), _ndtr_rows)[0])
 
 
 def lyapunov_statistic(terms, epsilon: float) -> float:

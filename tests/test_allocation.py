@@ -144,7 +144,7 @@ def test_greedy_beats_random_start_for_every_seed(mode):
         result = allocation.greedy_allocate(
             s, mode, allocation.GreedyConfig(init_seed=seed), engine=engine
         )
-        baseline = engine.average(allocation.random_allocate(s, mode, seed))
+        baseline = engine.outage_vector(allocation.random_allocate(s, mode, seed)).mean()
         assert result.objective <= baseline + 1e-12
         trace = np.asarray(result.trace)
         assert np.all(np.diff(trace) <= 1e-15)
@@ -158,19 +158,20 @@ def test_trace_starts_at_the_random_initialization():
     rng = np.random.default_rng(5)
     colors = rng.integers(0, 4, size=(s.num_cns, s.num_beams))
     init = access.ResourceAllocation("single", colors, 3)
-    assert result.trace[0] == engine.average(init)
+    assert result.trace[0] == engine.outage_vector(init).mean()
     assert len(result.trace) <= config.max_iterations + 1
 
 
 @pytest.mark.parametrize("mode", ["single", "multiple"])
 def test_incremental_and_full_recompute_agree(mode):
+    # greedy's objective comes from palette scores; a full recompute of the
+    # final allocation must reproduce it bit for bit
     s = toy()
     engine = outage.GcOutageEngine(s)
-    config = allocation.GreedyConfig(init_seed=3)
-    fast = allocation.greedy_allocate(s, mode, config, engine=engine, incremental=True)
-    slow = allocation.greedy_allocate(s, mode, config, engine=engine, incremental=False)
-    assert np.array_equal(fast.allocation.colors, slow.allocation.colors)
-    assert fast.trace == slow.trace
+    for seed in (3, 8):
+        config = allocation.GreedyConfig(init_seed=seed)
+        result = allocation.greedy_allocate(s, mode, config, engine=engine)
+        assert result.objective == float(engine.outage_vector(result.allocation).mean())
 
 
 def test_color_bound_restricts_palette():

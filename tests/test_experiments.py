@@ -63,6 +63,7 @@ def test_spec_rejects_unknown_experiment():
         dict(orders=()),
         dict(orders=(0, 7)),
         dict(cdf_points=1),
+        dict(orders=(5, 5)),
     ],
 )
 def test_spec_rejects_bad_fields(bad):
@@ -254,6 +255,26 @@ def test_series_divergence_degenerate_models_raise(overrides):
     s = scn.generate_scenario(replace(DESK, **{"num_sensors": 20, **overrides}))
     with pytest.raises(DegenerateModelError):
         experiments._series_divergence(s, experiments.full_reuse_allocation(s), range(6), 256)
+
+
+def test_error_sweep_scores_a_law_inside_one_bin():
+    # error_vs_p input of seed 1303 at M = 60: sensor 53's interference
+    # support (9.1e-8) lies inside the first bin (1.85e-7) of its
+    # destination's grid, so no bin midpoint falls within it
+    spec = experiments.ExperimentSpec(
+        "error_vs_p", replace(DESK, num_sensors=60), seed=1303, sweep=(0.3,), grid_points=1024
+    )
+    scenario_seed, _ = experiments._derived_entropy(spec.seed, 0, 0)
+    s = scn.generate_scenario(replace(spec.config, activity=0.3, seed=scenario_seed))
+    alloc = experiments.full_reuse_allocation(s)
+    reference = outage.pooled_cf_densities(alloc, s, 1024, sensors=np.array([53]))[(53, 1)]
+    weights, _ = outage.interference_terms(alloc, s, 53, 1)
+    assert weights.sum() < 0.5 * reference.bin_width
+    for binned in _scalar_curves(alloc, s, 53, reference, range(6)).values():
+        assert np.array_equal(binned.masses, np.eye(1, 1024)[0])
+    rows = experiments.run_experiment(spec).rows
+    assert [r[1] for r in rows] == list(range(6))
+    assert all(0.0 <= r[2] <= 1.0 for r in rows)
 
 
 def test_error_sweeps_leave_scipy_special_unloaded():

@@ -7,12 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmtc_outage.scenario import (
-    CollectorNode,
     ScenarioConfig,
+    _channels_for_cn,
     assemble_scenario,
     beam_boresights,
-    beam_select,
-    channel,
     config_summary,
     generate_scenario,
     load_scenario_config,
@@ -62,11 +60,15 @@ def test_uniform_beam_filters_columns_are_steering_vectors():
 # --- channels -------------------------------------------------------------
 
 
+def channel(position, cfg):
+    """Channel of one sensor position towards a collector at the origin."""
+    return _channels_for_cn(np.zeros(2), np.array([position], dtype=float), cfg)[0]
+
+
 def test_channel_gain_follows_inverse_square_law():
     cfg = small_config()
-    cn = CollectorNode(0, np.zeros(2), uniform_beam_filters(8, 8))
-    near = channel(cn, (30.0, 0.0), cfg)
-    far = channel(cn, (60.0, 0.0), cfg)
+    near = channel((30.0, 0.0), cfg)
+    far = channel((60.0, 0.0), cfg)
     # doubling the distance quarters the path gain
     ratio = np.vdot(near, near).real / np.vdot(far, far).real
     assert math.isclose(ratio, 4.0, rel_tol=1e-12)
@@ -74,18 +76,16 @@ def test_channel_gain_follows_inverse_square_law():
 
 def test_channel_norm_value():
     cfg = small_config()
-    cn = CollectorNode(0, np.zeros(2), uniform_beam_filters(8, 8))
     d = 25.0
-    h = channel(cn, (0.0, d), cfg)
+    h = channel((0.0, d), cfg)
     expected = cfg.antennas * (cfg.wavelength / (4 * math.pi * d)) ** 2
     assert math.isclose(np.vdot(h, h).real, expected, rel_tol=1e-12)
 
 
 def test_channel_clamps_tiny_distances():
     cfg = small_config(min_distance=1.0)
-    cn = CollectorNode(0, np.zeros(2), uniform_beam_filters(8, 8))
-    h_close = channel(cn, (0.2, 0.0), cfg)
-    h_clamp = channel(cn, (1.0, 0.0), cfg)
+    h_close = channel((0.2, 0.0), cfg)
+    h_clamp = channel((1.0, 0.0), cfg)
     assert np.allclose(np.abs(h_close), np.abs(h_clamp))
 
 
@@ -93,13 +93,11 @@ def test_matched_filter_gain_on_boresight():
     # a sensor exactly on a beam's pointing direction sees the coherent gain
     # N^2 * path_gain through that beam's filter
     cfg = small_config(antennas=8, beams=8)
-    cn = CollectorNode(0, np.zeros(2), uniform_beam_filters(8, 8))
+    filters = uniform_beam_filters(8, 8)
     d = 40.0
     for l, ang in enumerate(beam_boresights(8)):
-        pos = (d * math.cos(ang), d * math.sin(ang))
-        h = channel(cn, pos, cfg)
-        g = cn.filters[:, l]
-        gain = abs(np.vdot(g, h)) ** 2
+        h = channel((d * math.cos(ang), d * math.sin(ang)), cfg)
+        gain = abs(np.vdot(filters[:, l], h)) ** 2
         path_gain = (cfg.wavelength / (4 * math.pi * d)) ** 2
         assert math.isclose(gain, 64 * path_gain, rel_tol=1e-9)
 
@@ -157,28 +155,23 @@ def test_min_distance_wider_than_disk_rejected():
 def test_detection_tuple_attains_exhaustive_maximum():
     scn = generate_scenario(small_config(num_sensors=40, num_cns=4, antennas=6))
     K, L, N = scn.num_cns, scn.num_beams, scn.config.antennas
+    channels = [_channels_for_cn(scn.cn_positions[k], scn.positions, scn.config) for k in range(K)]
     for i in range(scn.num_sensors):
         best, best_node = -1.0, -1
         for k in range(K):
             for l in range(L):
                 g = scn.filters[k, :, l]
-                num = abs(np.vdot(g, scn.channels[k, i])) ** 2
+                num = abs(np.vdot(g, channels[k][i])) ** 2
                 ratio = num / (scn.config.noise_power * np.vdot(g, g).real)
                 if ratio > best:
                     best, best_node = ratio, k * L + l
         assert scn.det_node[i] == best_node
 
 
-def test_beam_select_matches_cached_tuple():
-    scn = generate_scenario(small_config())
-    for i in range(scn.num_sensors):
-        assert beam_select(scn, i) == scn.detection_tuple(i)
-
-
 def test_beam_select_single_candidate():
     cfg = small_config(num_sensors=6, num_cns=1, antennas=4, beams=1)
     scn = generate_scenario(cfg)
-    assert all(beam_select(scn, i) == (0, 0) for i in range(6))
+    assert all(scn.detection_tuple(i) == (0, 0) for i in range(6))
 
 
 def test_beam_select_invariant_under_filter_scaling():
@@ -231,25 +224,6 @@ def test_noise_power_scales_with_filter_norm():
     unit = uniform_beam_filters(8, 8) / math.sqrt(8.0)
     scn_unit = generate_scenario(cfg, filters=unit)
     assert np.allclose(scn_unit.noise_power, cfg.noise_power)
-
-
-def test_stored_channels_match_channel_op():
-    scn = generate_scenario(small_config(num_sensors=10))
-    cn = scn.collector_nodes[1]
-    for i in (0, 3, 9):
-        assert np.array_equal(
-            channel(cn, scn.positions[i], scn.config), scn.channels[1, i]
-        )
-
-
-def test_sensor_view_fields():
-    scn = generate_scenario(small_config(num_sensors=10))
-    s = scn.sensor(7)
-    assert s.index == 7
-    assert s.home_cn == scn.home_cn[7]
-    assert s.activity == scn.config.activity
-    assert s.detection_tuple == scn.detection_tuple(7)
-    assert s.own_power == scn.own_power[7]
 
 
 def test_scenario_arrays_are_read_only():

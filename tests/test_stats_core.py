@@ -16,6 +16,7 @@ from mmtc_outage.stats_core import (
     _ndtr_rows,
     _series_coefficients,
     _series_density,
+    _series_tails,
     AtomicDistribution,
     DegenerateKernelError,
     DegenerateModelError,
@@ -25,7 +26,6 @@ from mmtc_outage.stats_core import (
     cf_density,
     collect_power_coefficients,
     exact_pmf,
-    gaussian_partial_moment,
     gram_charlier,
     gram_charlier_from_cumulants,
     hermite,
@@ -358,6 +358,9 @@ def test_order0_is_bare_kernel():
 def test_order_above_five_rejected():
     with pytest.raises(ValueError, match="order"):
         gram_charlier(_random_model(1), order=6)
+    for max_order in (1, 6):
+        with pytest.raises(ValueError, match="max_order"):
+            build_model([(1.0, 0.3)], max_order=max_order)
 
 
 def test_gc_density_integrates_to_one():
@@ -461,26 +464,36 @@ def test_scalar_normal_cdf_matches_scipy():
     assert _ndtr(-math.inf) == 0.0 and _ndtr(math.inf) == 1.0
 
 
+def _partial_moment_tail(coeffs, lo, hi, norm, ndtr=_ndtr_rows):
+    """One row of _series_tails for a standard Gaussian kernel (mu 0, sigma
+    1): the integral of sum_n coeffs[n] z^n phi(z) over [lo, hi] over norm."""
+    an = np.zeros((1, 6))
+    an[0, : len(coeffs)] = coeffs
+    rows = [np.array([float(v)]) for v in (lo, 0.0, 1.0, hi, norm)]
+    return float(_series_tails(*rows, an, ndtr)[0])
+
+
 def test_partial_moment_total_mass():
-    assert gaussian_partial_moment(0, -40.0, 40.0) == pytest.approx(1.0, abs=1e-12)
+    # norm 2 keeps the value away from the [0, 1] clamp
+    assert _partial_moment_tail([1.0], -40.0, 40.0, 2.0) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_partial_moment_odd_symmetry():
-    assert gaussian_partial_moment(1, -40.0, 40.0) == pytest.approx(0.0, abs=1e-12)
+    for n in (1, 3, 5):
+        coeffs = np.eye(6)[0] + np.eye(6)[n]
+        assert _partial_moment_tail(coeffs, -40.0, 40.0, 2.0) == pytest.approx(0.5, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
 def test_partial_moment_quadrature(n):
-    lo, hi = -1.0, 1.0
+    # an asymmetric window keeps every moment strictly inside the clamp
+    lo, hi = -0.5, 1.5
     val, _ = integrate.quad(
         lambda x: x**n * math.exp(-0.5 * x * x) / math.sqrt(2 * math.pi), lo, hi
     )
-    assert gaussian_partial_moment(n, lo, hi) == pytest.approx(val, abs=1e-10)
-
-
-def test_partial_moment_rejects_reversed_bounds():
-    with pytest.raises(ValueError):
-        gaussian_partial_moment(2, 1.0, -1.0)
+    assert 0.0 < val < 1.0
+    for cdf in (_ndtr_rows, ndtr):
+        assert _partial_moment_tail(np.eye(6)[n], lo, hi, 1.0, cdf) == pytest.approx(val, abs=1e-10)
 
 
 def test_tail_edges():
