@@ -198,7 +198,7 @@ def _series_masses(alloc, scenario, sensors, references, orders):
     kappa, supports = [], []
     for i in sensors:
         weights, probs = outage.interference_terms(alloc, scenario, i, 1)
-        kappa.append(stats_core._moment_sums(weights, probs, 5)[1])
+        kappa.append(stats_core._cumulant_sums(weights, probs, 5))
         supports.append(weights.sum())
     supports = np.array(supports)
     mu, sigma, _, norm, an = stats_core._series_coefficients(

@@ -174,15 +174,14 @@ def _cumulants_from_raw_moments(raw: np.ndarray) -> np.ndarray:
 class InterferenceModel:
     """Sum of independent weighted Bernoulli terms with cached statistics.
 
-    ``raw_moments[k]`` stores sum_j p_j a_j^(k+1) and ``cumulants[k]`` the
-    (k+1)-th cumulant of the sum; ``cumulant(n)`` is the 1-based view.
+    ``cumulants[k]`` stores the (k+1)-th cumulant of the sum;
+    ``cumulant(n)`` is the 1-based view.
     """
 
     terms: tuple[WeightedBernoulliTerm, ...]
     support_bound: float
     mean: float
     variance: float
-    raw_moments: tuple[float, ...]
     cumulants: tuple[float, ...]
 
     def cumulant(self, n: int) -> float:
@@ -204,12 +203,11 @@ def _bernoulli_cumulants(p: np.ndarray, max_order: int) -> np.ndarray:
     return np.stack(cols[:max_order], axis=-1)
 
 
-def _moment_sums(a: np.ndarray, p: np.ndarray, max_order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Raw moments and cumulants 1..max_order of sum_j a_j Bernoulli(p_j); the
-    cumulants are sum_j kappa_n(p_j) a_j^n."""
+def _cumulant_sums(a: np.ndarray, p: np.ndarray, max_order: int) -> np.ndarray:
+    """Cumulants 1..max_order of sum_j a_j Bernoulli(p_j), that is
+    sum_j kappa_n(p_j) a_j^n."""
     powers = a[None, :] ** np.arange(1, max_order + 1)[:, None]
-    cumulants = _bernoulli_cumulants(p, max_order).T * powers
-    return (p * powers).sum(axis=1), cumulants.sum(axis=1)
+    return (_bernoulli_cumulants(p, max_order).T * powers).sum(axis=1)
 
 
 def build_model(terms, max_order: int = 5) -> InterferenceModel:
@@ -221,15 +219,13 @@ def build_model(terms, max_order: int = 5) -> InterferenceModel:
         WeightedBernoulliTerm(float(w), float(q)) for w, q in zip(a, p)
     )
     if a.size == 0:
-        zeros = (0.0,) * max_order
-        return InterferenceModel((), 0.0, 0.0, 0.0, zeros, zeros)
-    raw_sums, cumulants = _moment_sums(a, p, max_order)
+        return InterferenceModel((), 0.0, 0.0, 0.0, (0.0,) * max_order)
+    cumulants = _cumulant_sums(a, p, max_order)
     return InterferenceModel(
         terms=term_objs,
         support_bound=float(a.sum()),
         mean=float(cumulants[0]),
         variance=float(cumulants[1]),
-        raw_moments=tuple(float(v) for v in raw_sums),
         cumulants=tuple(float(v) for v in cumulants),
     )
 
@@ -620,18 +616,16 @@ def _series_density(x, mu, sigma, norm, an, lower, upper):
 
 
 def _gridded_masses(
-    density, lower: np.ndarray, upper: np.ndarray, num_bins: int, support=None
+    density, lower: np.ndarray, upper: np.ndarray, num_bins: int, support: np.ndarray
 ) -> np.ndarray:
     """Midpoint-rule masses of row densities, row r on a uniform grid over
-    [lower[r], upper[r]), clipped at zero and renormalized per row.  With
-    ``support``, row r's density lives on [0, support[r]], and a row whose
-    support lies inside its first bin, which the midpoint rule can miss,
-    gets unit mass in that bin."""
+    [lower[r], upper[r]), clipped at zero and renormalized per row.  Row r's
+    density lives on [0, support[r]]; a row whose support lies inside its
+    first bin, which the midpoint rule can miss, gets unit mass in that bin."""
     width = (upper[:, None] - lower[:, None]) / num_bins
     mids = lower[:, None] + width * (np.arange(num_bins) + 0.5)
     masses = np.clip(density(mids) * width, 0.0, None)
-    if support is not None:
-        masses[(lower <= 0.0) & (support < lower + width[:, 0])] = np.eye(1, num_bins)
+    masses[(lower <= 0.0) & (support < lower + width[:, 0])] = np.eye(1, num_bins)
     total = masses.sum(axis=1, keepdims=True)
     if np.any(total <= 0):
         raise ValueError("density vanished on the requested grid")

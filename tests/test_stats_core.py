@@ -420,7 +420,7 @@ def test_series_rows_match_one_row_calls():
             lambda x: _series_density(
                 x, mu[:, None], sigma[:, None], norm[:, None], coeffs, 0.0, supports[:, None]
             ),
-            lower, upper, ref.num_bins,
+            lower, upper, ref.num_bins, supports,
         )
         divergences = _jsd_rows(ref.masses, masses)
         for r, model in enumerate(models):
@@ -450,7 +450,9 @@ def test_series_rows_raise_what_the_scalar_route_raises():
     with pytest.raises(ValueError, match="vanished"):
         approx.discretize(20.0, 30.0, 64)
     with pytest.raises(ValueError, match="vanished"):
-        _gridded_masses(approx.density, np.array([0.0, 20.0]), np.array([4.0, 30.0]), 64)
+        _gridded_masses(
+            approx.density, np.array([0.0, 20.0]), np.array([4.0, 30.0]), 64, np.array([4.0, 4.0])
+        )
 
 
 # ---------------------------------------------------------------------------
