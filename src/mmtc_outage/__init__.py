@@ -3,14 +3,10 @@ allocation for massive machine-type uplinks."""
 
 from .access import (
     MODES,
-    InterferingSet,
     ResourceAllocation,
     color_bound,
     decode_holds,
-    decode_resources,
     effective_probabilities,
-    encode_resources,
-    interfering_set,
     read_allocation_csv,
     resource_mask,
     write_allocation_csv,

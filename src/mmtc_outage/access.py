@@ -1,4 +1,4 @@
-"""Resource-identifier coding, interfering sets, and effective activity.
+"""Resource-identifier coding, per-resource masks, and effective activity.
 
 Each collector/beam tuple owns a set of orthogonal uplink resources.  In
 single-resource mode a tuple's color *is* its resource id (0 = switched
@@ -6,6 +6,9 @@ off); in multiple-resource mode the color is the integer code of a binary
 resource-incidence vector, bit ``n-1`` standing for resource ``n``.  A
 sensor holding several resources picks one uniformly per transmission, so
 its effective activity on any one of them is thinned by the set size.
+Colors are decoded once, by :func:`decode_holds`, into the boolean
+(tuple, resource) incidence matrix :attr:`ResourceAllocation.holds`; every
+reader of an allocation reads that matrix.
 
 Resource ids are 1-based (1..R); collector, beam, and sensor indices are
 0-based throughout.
@@ -16,7 +19,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -25,13 +27,9 @@ from .scenario import Scenario
 __all__ = [
     "MODES",
     "ResourceAllocation",
-    "InterferingSet",
     "color_bound",
-    "encode_resources",
-    "decode_resources",
     "decode_holds",
     "resource_mask",
-    "interfering_set",
     "effective_probabilities",
     "write_allocation_csv",
     "read_allocation_csv",
@@ -47,30 +45,6 @@ def color_bound(mode: str, num_resources: int) -> int:
     if mode == "multiple":
         return (1 << num_resources) - 1
     raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-
-
-def encode_resources(bits: Sequence[int]) -> int:
-    """Integer code of a resource-incidence vector; bit n-1 <-> resource n.
-
-    ``encode_resources([1, 0, 1, 0, 0, 1]) == 37`` and decodes back to
-    resources {1, 3, 6}.
-    """
-    code = 0
-    for n, bit in enumerate(bits, start=1):
-        if bit not in (0, 1):
-            raise ValueError(f"incidence vector entries must be 0 or 1, got {bit!r}")
-        code |= bit << (n - 1)
-    return code
-
-
-def decode_resources(color: int, num_resources: int) -> frozenset[int]:
-    """Resource ids whose incidence bit is set in ``color``."""
-    color = int(color)
-    if not 0 <= color < (1 << num_resources):
-        raise ValueError(
-            f"color {color} out of range [0, 2^{num_resources})"
-        )
-    return frozenset(n for n in range(1, num_resources + 1) if color >> (n - 1) & 1)
 
 
 def decode_holds(colors, mode: str, num_resources: int) -> np.ndarray:
@@ -90,19 +64,18 @@ def decode_holds(colors, mode: str, num_resources: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ResourceAllocation:
-    """Colors of every collector/beam tuple plus their decoded resource sets.
+    """Colors of every collector/beam tuple plus their decoded incidence.
 
     ``colors`` has shape (K, L); ``holds[k * L + l, n - 1]`` says whether
-    tuple (k, l) holds resource n, and ``resource_sets[k * L + l]`` is the
-    same row as a set of resource ids.  Color 0 means the tuple is switched
-    off (empty set) in both modes.
+    tuple (k, l) holds resource n, and ``set_sizes`` counts each row's held
+    resources.  Color 0 means the tuple is switched off (all-False row) in
+    both modes.
     """
 
     mode: str
     colors: np.ndarray
     num_resources: int
     holds: np.ndarray = field(init=False, repr=False)
-    resource_sets: tuple[frozenset[int], ...] = field(init=False, repr=False)
     set_sizes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -118,8 +91,6 @@ class ResourceAllocation:
         colors.setflags(write=False)
         holds.setflags(write=False)
         object.__setattr__(self, "holds", holds)
-        sets = tuple(frozenset((np.flatnonzero(row) + 1).tolist()) for row in holds)
-        object.__setattr__(self, "resource_sets", sets)
         sizes = holds.sum(axis=1)
         sizes.setflags(write=False)
         object.__setattr__(self, "set_sizes", sizes)
@@ -136,30 +107,6 @@ class ResourceAllocation:
     def num_tuples(self) -> int:
         return self.colors.size
 
-    def tuple_set(self, cn: int, beam: int) -> frozenset[int]:
-        return self.resource_sets[cn * self.num_beams + beam]
-
-
-@dataclass(frozen=True)
-class InterferingSet:
-    """Sensors able to collide with one reference sensor on one resource.
-
-    ``intra`` members share the reference sensor's detection tuple; ``inter``
-    members sit on other tuples whose resource set also contains the
-    resource.  ``probabilities`` maps each member to its effective activity
-    on any single resource it holds.
-    """
-
-    sensor: int
-    resource: int
-    intra: tuple[int, ...]
-    inter: tuple[int, ...]
-    probabilities: Mapping[int, float]
-
-    @property
-    def members(self) -> tuple[int, ...]:
-        return tuple(sorted((*self.intra, *self.inter)))
-
 
 def resource_mask(
     alloc: ResourceAllocation, scenario: Scenario, resource: int
@@ -170,30 +117,6 @@ def resource_mask(
             f"resource ids run 1..{alloc.num_resources}, got {resource}"
         )
     return alloc.holds[scenario.det_node, resource - 1]
-
-
-def interfering_set(
-    alloc: ResourceAllocation,
-    scenario: Scenario,
-    sensor_index: int,
-    resource: int,
-) -> InterferingSet:
-    """All sensors that can collide with ``sensor_index`` on ``resource``."""
-    node = int(scenario.det_node[sensor_index])
-    own = alloc.resource_sets[node]
-    if resource not in own:
-        raise ValueError(
-            f"sensor {sensor_index}'s tuple holds resources "
-            f"{sorted(own) or '{}'}, not {resource}"
-        )
-    mask = resource_mask(alloc, scenario, resource).copy()
-    mask[sensor_index] = False
-    same_tuple = scenario.det_node == node
-    intra = tuple(int(j) for j in np.nonzero(mask & same_tuple)[0])
-    inter = tuple(int(j) for j in np.nonzero(mask & ~same_tuple)[0])
-    p_eff = effective_probabilities(alloc, scenario)
-    probs = {int(j): float(p_eff[j]) for j in np.nonzero(mask)[0]}
-    return InterferingSet(sensor_index, resource, intra, inter, probs)
 
 
 def effective_probabilities(
@@ -218,10 +141,10 @@ def write_allocation_csv(alloc: ResourceAllocation, path: str | Path) -> None:
         f"num_beams={alloc.num_beams} num_resources={alloc.num_resources}"
     ]
     lines.append("cn,beam,color,resource_list")
-    for k in range(alloc.num_cns):
-        for l in range(alloc.num_beams):
-            ids = ";".join(map(str, sorted(alloc.tuple_set(k, l))))
-            lines.append(f"{k},{l},{alloc.colors[k, l]},{ids}")
+    for node, row in enumerate(alloc.holds):
+        k, l = divmod(node, alloc.num_beams)
+        ids = ";".join(map(str, (np.flatnonzero(row) + 1).tolist()))
+        lines.append(f"{k},{l},{alloc.colors[k, l]},{ids}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
 
 
@@ -232,7 +155,11 @@ _ALLOC_HEADER = re.compile(
 
 
 def read_allocation_csv(path: str | Path) -> ResourceAllocation:
-    """Inverse of :func:`write_allocation_csv`, with consistency checks."""
+    """Inverse of :func:`write_allocation_csv`, with consistency checks.
+
+    Every (cn, beam) tuple of the header's shape must appear in exactly one
+    row, and each row's resource_list must match its color.
+    """
     path = Path(path)
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines or (match := _ALLOC_HEADER.match(lines[0])) is None:
@@ -243,19 +170,32 @@ def read_allocation_csv(path: str | Path) -> ResourceAllocation:
     if len(lines) < 2 or lines[1] != "cn,beam,color,resource_list":
         raise ValueError(f"{path}: unexpected column header")
     colors = np.zeros((num_cns, num_beams), dtype=np.int64)
-    listed: dict[int, frozenset[int]] = {}
-    for row in lines[2:]:
+    listed: dict[int, list[int]] = {}
+    for lineno, row in enumerate(lines[2:], start=3):
         if not row:
             continue
-        cn, beam, color, ids = row.split(",")
-        k, l = int(cn), int(beam)
-        colors[k, l] = int(color)
-        listed[k * num_beams + l] = frozenset(
-            int(t) for t in ids.split(";") if t
-        )
+        try:
+            cn, beam, color, ids = row.split(",")
+            k, l, code = int(cn), int(beam), int(color)
+            resources = sorted(int(t) for t in ids.split(";") if t)
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: malformed row {row!r}") from None
+        if not (0 <= k < num_cns and 0 <= l < num_beams):
+            raise ValueError(
+                f"{path}: line {lineno}: tuple ({k}, {l}) lies outside the "
+                f"header's {num_cns} x {num_beams} shape"
+            )
+        node = k * num_beams + l
+        if node in listed:
+            raise ValueError(f"{path}: line {lineno}: tuple ({k}, {l}) is listed twice")
+        colors[k, l] = code
+        listed[node] = resources
+    if len(listed) < colors.size:
+        missing = min(set(range(colors.size)) - listed.keys())
+        raise ValueError(f"{path}: no row for tuple {divmod(missing, num_beams)}")
     alloc = ResourceAllocation(mode, colors, num_resources)
     for node, ids in listed.items():
-        if ids != alloc.resource_sets[node]:
+        if ids != (np.flatnonzero(alloc.holds[node]) + 1).tolist():
             raise ValueError(
                 f"{path}: resource_list for tuple {divmod(node, num_beams)} "
                 f"does not match its color"

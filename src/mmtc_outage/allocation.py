@@ -61,9 +61,6 @@ class InterferenceGraph:
     def degrees(self) -> np.ndarray:
         return self.adjacency.sum(axis=1)
 
-    def neighbors(self, node: int) -> np.ndarray:
-        return np.nonzero(self.adjacency[node])[0]
-
     def sweep_order(self) -> np.ndarray:
         """Node ids in descending degree, index order breaking ties."""
         return np.argsort(-self.degrees, kind="stable")

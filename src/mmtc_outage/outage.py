@@ -130,15 +130,13 @@ def parse_method(text: str) -> OutageMethod:
 # scalar operations
 
 
-def interference_headroom(scenario: Scenario, sensor_index: int) -> float:
-    """Interference level at which the sensor's SINR hits the threshold.
+def interference_headroom(scenario: Scenario) -> np.ndarray:
+    """Per-sensor (M,) interference level at which the SINR hits the threshold.
 
-    Outage is the event {interference > headroom}; a negative headroom means
-    the sensor fails on noise alone.
+    Sensor i is in outage on the event {interference > headroom[i]}; a
+    negative headroom means the sensor fails on noise alone.
     """
-    own = float(scenario.own_power[sensor_index])
-    noise = float(scenario.noise_power[sensor_index])
-    return own / scenario.config.detection_threshold - noise
+    return scenario.own_power / scenario.config.detection_threshold - scenario.noise_power
 
 
 def interference_terms(
@@ -173,16 +171,14 @@ def outage_single(
     outage with probability 1; negative headroom gives 1; an interference
     support below the headroom gives 0.
     """
-    node = int(scenario.det_node[sensor_index])
-    own_set = alloc.resource_sets[node]
-    if not own_set:
+    held = (np.flatnonzero(alloc.holds[scenario.det_node[sensor_index]]) + 1).tolist()
+    if not held:
         return 1.0
-    if resource not in own_set:
+    if resource not in held:
         raise ValueError(
-            f"sensor {sensor_index}'s tuple holds resources {sorted(own_set)}, "
-            f"not {resource}"
+            f"sensor {sensor_index}'s tuple holds resources {held}, not {resource}"
         )
-    threshold = interference_headroom(scenario, sensor_index)
+    threshold = float(interference_headroom(scenario)[sensor_index])
     if threshold < 0.0:
         return 1.0
     if isinstance(method, MonteCarloMethod):
@@ -214,13 +210,10 @@ def outage_multi(
     method: OutageMethod,
 ) -> float:
     """Outage averaged uniformly over the sensor's held resources."""
-    node = int(scenario.det_node[sensor_index])
-    own_set = sorted(alloc.resource_sets[node])
-    if not own_set:
+    held = (np.flatnonzero(alloc.holds[scenario.det_node[sensor_index]]) + 1).tolist()
+    if not held:
         return 1.0
-    values = [
-        outage_single(alloc, scenario, sensor_index, t, method) for t in own_set
-    ]
+    values = [outage_single(alloc, scenario, sensor_index, t, method) for t in held]
     return math.fsum(values) / len(values)
 
 
@@ -254,25 +247,21 @@ def _mc_outage(
     is counted as interference strictly above the headroom, matching the
     tail convention of the analytic methods.
     """
-    node = int(scenario.det_node[sensor_index])
-    own_set = sorted(alloc.resource_sets[node])
-    if not own_set:
+    det = scenario.det_node
+    node = int(det[sensor_index])
+    own_arr = np.flatnonzero(alloc.holds[node]) + 1
+    if not own_arr.size:
         return 1.0
-    threshold = interference_headroom(scenario, sensor_index)
+    threshold = float(interference_headroom(scenario)[sensor_index])
     if threshold < 0.0:
         return 1.0  # every draw fails on noise alone
     table, sizes = _resource_table(alloc)
-    det = scenario.det_node
-    own_arr = np.asarray(own_set, dtype=np.int64)
     candidate = (sizes[det] > 0) & (scenario.activities > 0.0)
     candidate[sensor_index] = False
     if resource is None:
-        relevant = np.zeros(scenario.num_sensors, dtype=bool)
-        for t in own_set:
-            relevant |= resource_mask(alloc, scenario, t)
+        candidate &= (alloc.holds[det] & alloc.holds[node]).any(axis=1)
     else:
-        relevant = resource_mask(alloc, scenario, resource)
-    candidate &= relevant
+        candidate &= resource_mask(alloc, scenario, resource)
     ids = np.nonzero(candidate)[0]
     if ids.size == 0:
         return 0.0
@@ -391,10 +380,7 @@ class GcOutageEngine:
             self.pooled[:, node, :] = block.sum(axis=1)
             self.self_powers[members] = block[node]
         self.tuple_counts = np.bincount(det, minlength=num_tuples)
-        self.thresholds = (
-            scenario.own_power / scenario.config.detection_threshold
-            - scenario.noise_power
-        )
+        self.thresholds = interference_headroom(scenario)
 
     def outage_vector(self, alloc: ResourceAllocation) -> np.ndarray:
         """Per-sensor outage under ``alloc``: the one-candidate case of the
@@ -633,10 +619,7 @@ def batch_cf_outage(
     Edge conventions are identical to :func:`outage_single`.
     """
     det = scenario.det_node
-    thresholds = (
-        scenario.own_power / scenario.config.detection_threshold
-        - scenario.noise_power
-    )
+    thresholds = interference_headroom(scenario)
     p_eff = effective_probabilities(alloc, scenario)
     sizes = alloc.set_sizes[det]
     out = np.ones(scenario.num_sensors)

@@ -40,7 +40,6 @@ __all__ = [
     "tail_probability",
     "jsd",
     "sup_cdf_distance",
-    "lyapunov_statistic",
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -717,15 +716,3 @@ def tail_probability(approx: GramCharlierApprox, threshold: float) -> float:
     beta = (k.upper - k.mu) / k.sigma
     rows = [np.array([v]) for v in (threshold, k.mu, k.sigma, beta, k.normalization)]
     return float(_series_tails(*rows, np.array([approx.an_coeffs]), _ndtr_rows)[0])
-
-
-def lyapunov_statistic(terms, epsilon: float) -> float:
-    """Normalized (2+eps)-order sum; small values justify a Gaussian kernel."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    a, p = _term_arrays(terms)
-    variance = float(np.sum(p * (1.0 - p) * a * a))
-    if variance <= 0:
-        raise DegenerateModelError("zero-variance model")
-    numerator = float(np.sum(a ** (2.0 + epsilon) * p * (1.0 - p)))
-    return numerator / variance ** ((2.0 + epsilon) / 2.0)

@@ -7,14 +7,12 @@ from mmtc_outage.access import (
     ResourceAllocation,
     color_bound,
     decode_holds,
-    decode_resources,
     effective_probabilities,
-    encode_resources,
-    interfering_set,
     read_allocation_csv,
     resource_mask,
     write_allocation_csv,
 )
+from mmtc_outage.outage import interference_terms
 from mmtc_outage.scenario import ScenarioConfig, generate_scenario
 
 
@@ -31,22 +29,45 @@ def alloc_for(scenario, mode, colors):
     return ResourceAllocation(mode, np.asarray(colors), scenario.config.num_resources)
 
 
+def held_by_bits(color, mode, num_resources):
+    """Resource ids of one color, decoded by hand apart from the library."""
+    if mode == "single":
+        return {color} if color else set()
+    return {n for n in range(1, num_resources + 1) if color >> (n - 1) & 1}
+
+
+def members_by_bits(scenario, mode, colors, sensor, resource):
+    """Sensors other than ``sensor`` whose tuple holds ``resource``."""
+    flat = np.asarray(colors).ravel().tolist()
+    r = scenario.config.num_resources
+    return [
+        j for j in range(scenario.num_sensors)
+        if j != sensor and resource in held_by_bits(flat[scenario.det_node[j]], mode, r)
+    ]
+
+
+def positive_weights(scenario, sensor, members):
+    row = scenario.powers_at[scenario.det_node[sensor]]
+    return [float(row[j]) for j in members if row[j] > 0.0]
+
+
 # --- encoding ---------------------------------------------------------------
 
 
 def test_worked_encoding_example():
-    assert encode_resources([1, 0, 1, 0, 0, 1]) == 37
-    assert decode_resources(37, 6) == {1, 3, 6}
+    row = decode_holds(37, "multiple", 6)[0]
+    assert row.tolist() == [True, False, True, False, False, True]
+    assert (np.flatnonzero(row) + 1).tolist() == [1, 3, 6]
 
 
 def test_all_zero_vector_encodes_zero():
-    assert encode_resources([0] * 6) == 0
-    assert decode_resources(0, 6) == frozenset()
+    for mode in ("single", "multiple"):
+        assert not decode_holds(0, mode, 6).any()
 
 
 def test_colors_containing_resource_one():
-    holders = [c for c in range(8) if 1 in decode_resources(c, 3)]
-    assert holders == [1, 3, 5, 7]
+    holders = np.flatnonzero(decode_holds(np.arange(8), "multiple", 3)[:, 0])
+    assert holders.tolist() == [1, 3, 5, 7]
 
 
 @settings(max_examples=100)
@@ -55,21 +76,15 @@ def test_colors_containing_resource_one():
 ))
 def test_encode_decode_roundtrip(case):
     r, color = case
-    ids = decode_resources(color, r)
-    bits = [1 if n in ids else 0 for n in range(1, r + 1)]
-    assert encode_resources(bits) == color
+    row = decode_holds(color, "multiple", r)[0]
+    assert sum(int(bit) << n for n, bit in enumerate(row)) == color
 
 
 def test_decode_rejects_out_of_range():
-    with pytest.raises(ValueError, match="out of range"):
-        decode_resources(8, 3)
-    with pytest.raises(ValueError, match="out of range"):
-        decode_resources(-1, 3)
-
-
-def test_encode_rejects_non_binary():
-    with pytest.raises(ValueError):
-        encode_resources([1, 2, 0])
+    with pytest.raises(ValueError, match="must lie in"):
+        decode_holds(8, "multiple", 3)
+    with pytest.raises(ValueError, match="must lie in"):
+        decode_holds(-1, "multiple", 3)
 
 
 def test_color_bound_per_mode():
@@ -84,16 +99,16 @@ def test_color_bound_per_mode():
 
 def test_single_mode_sets_are_singletons():
     alloc = ResourceAllocation("single", np.array([[0, 2], [3, 3]]), 3)
-    assert alloc.resource_sets == (
-        frozenset(), frozenset({2}), frozenset({3}), frozenset({3}),
-    )
+    assert alloc.holds.tolist() == [
+        [False, False, False], [False, True, False], [False, False, True], [False, False, True],
+    ]
     assert alloc.set_sizes.tolist() == [0, 1, 1, 1]
 
 
 def test_multiple_mode_sets_decode_colors():
     alloc = ResourceAllocation("multiple", np.array([[5, 0]]), 3)
-    assert alloc.tuple_set(0, 0) == {1, 3}
-    assert alloc.tuple_set(0, 1) == frozenset()
+    assert alloc.holds.tolist() == [[True, False, True], [False, False, False]]
+    assert alloc.set_sizes.tolist() == [2, 0]
 
 
 @pytest.mark.parametrize("mode", ["single", "multiple"])
@@ -104,16 +119,16 @@ def test_holds_agrees_with_sets_and_masks(toy_scenario, mode):
         alloc = alloc_for(toy_scenario, mode, rng.integers(0, bound + 1, size=(3, 2)))
         assert alloc.holds.shape == (6, 3)
         assert not alloc.holds.flags.writeable
-        for node, ids in enumerate(alloc.resource_sets):
+        sets = [held_by_bits(c, mode, 3) for c in alloc.colors.ravel().tolist()]
+        for node, ids in enumerate(sets):
             assert {t for t in (1, 2, 3) if alloc.holds[node, t - 1]} == ids
-        assert np.array_equal(alloc.set_sizes, alloc.holds.sum(axis=1))
+        assert alloc.set_sizes.tolist() == [len(ids) for ids in sets]
         for t in (1, 2, 3):
-            expected = [t in alloc.resource_sets[d] for d in toy_scenario.det_node]
+            expected = [t in sets[d] for d in toy_scenario.det_node]
             assert resource_mask(alloc, toy_scenario, t).tolist() == expected
-    assert np.array_equal(decode_holds(np.arange(bound + 1), mode, 3), np.array(
-        [[n in decode_resources(c, 3) if mode == "multiple" else n == c for n in (1, 2, 3)]
-         for c in range(bound + 1)]
-    ))
+    assert decode_holds(np.arange(bound + 1), mode, 3).tolist() == [
+        [n in held_by_bits(c, mode, 3) for n in (1, 2, 3)] for c in range(bound + 1)
+    ]
 
 
 def test_allocation_rejects_out_of_bound_colors():
@@ -132,80 +147,57 @@ def test_allocation_rejects_bad_mode_and_shape():
         ResourceAllocation("single", np.array([1, 2]), 3)
 
 
-# --- interfering sets -------------------------------------------------------
+# --- interference pools -----------------------------------------------------
 
 
 def test_full_reuse_interferes_with_everyone(toy_scenario):
     # every tuple on the same single resource: members = all j != i
     colors = np.ones((3, 2), dtype=int)
     alloc = alloc_for(toy_scenario, "single", colors)
-    js = interfering_set(alloc, toy_scenario, 5, 1)
-    assert js.members == tuple(j for j in range(24) if j != 5)
-    assert 5 not in js.members
+    assert resource_mask(alloc, toy_scenario, 1).all()
+    weights, probs = interference_terms(alloc, toy_scenario, 5, 1)
+    others = [j for j in range(24) if j != 5]
+    assert weights.tolist() == positive_weights(toy_scenario, 5, others)
+    assert probs.tolist() == [0.12] * weights.size
 
 
 def test_lone_holder_has_empty_set(toy_scenario):
-    # only sensor i's tuple holds resource 2
+    # only sensor 0's tuple holds resource 2
     node = int(toy_scenario.det_node[0])
     colors = np.ones(6, dtype=int)
     colors[node] = 2
     alloc = alloc_for(toy_scenario, "single", colors.reshape(3, 2))
-    others_on_node = [
-        j for j in range(24) if toy_scenario.det_node[j] == node and j != 0
-    ]
-    js = interfering_set(alloc, toy_scenario, 0, 2)
-    assert js.members == tuple(others_on_node)
-    assert js.inter == ()
+    on_node = np.flatnonzero(toy_scenario.det_node == node)
+    assert np.flatnonzero(resource_mask(alloc, toy_scenario, 2)).tolist() == on_node.tolist()
+    weights, _ = interference_terms(alloc, toy_scenario, 0, 2)
+    assert weights.tolist() == positive_weights(toy_scenario, 0, on_node[on_node != 0])
 
 
 def test_membership_matches_hand_enumeration(toy_scenario):
     colors = np.array([[3, 5], [6, 0], [1, 3]])  # multiple mode codes
     alloc = alloc_for(toy_scenario, "multiple", colors)
-    i, t = 7, 2
-    node_i = int(toy_scenario.det_node[i])
-    if t not in alloc.resource_sets[node_i]:
-        pytest.skip("seed placed sensor 7 on a tuple without resource 2")
-    expected = {
-        j
-        for j in range(toy_scenario.num_sensors)
-        if j != i and t in alloc.resource_sets[int(toy_scenario.det_node[j])]
-    }
-    js = interfering_set(alloc, toy_scenario, i, t)
-    assert set(js.members) == expected
-
-
-def test_intra_inter_partition(toy_scenario):
-    colors = np.full((3, 2), 1, dtype=int)
-    alloc = alloc_for(toy_scenario, "single", colors)
-    js = interfering_set(alloc, toy_scenario, 3, 1)
-    node = int(toy_scenario.det_node[3])
-    for j in js.intra:
-        assert toy_scenario.det_node[j] == node
-    for j in js.inter:
-        assert toy_scenario.det_node[j] != node
-    assert set(js.intra) | set(js.inter) == set(js.members)
-    assert not set(js.intra) & set(js.inter)
+    for i in range(toy_scenario.num_sensors):
+        for t in (1, 2, 3):
+            expected = members_by_bits(toy_scenario, "multiple", colors, i, t)
+            mask = resource_mask(alloc, toy_scenario, t).copy()
+            mask[i] = False
+            assert np.flatnonzero(mask).tolist() == expected
+            if alloc.holds[toy_scenario.det_node[i], t - 1]:
+                weights, _ = interference_terms(alloc, toy_scenario, i, t)
+                assert weights.tolist() == positive_weights(toy_scenario, i, expected)
 
 
 def test_reuse_symmetry(toy_scenario):
+    # j interferes with i on t exactly when i interferes with j on t
     colors = np.array([[3, 1], [2, 7], [5, 4]])
     alloc = alloc_for(toy_scenario, "multiple", colors)
+    det, powers = toy_scenario.det_node, toy_scenario.powers_at
     for t in (1, 2, 3):
-        on_t = np.nonzero(resource_mask(alloc, toy_scenario, t))[0]
-        for i in on_t[:4]:
-            members_i = interfering_set(alloc, toy_scenario, int(i), t).members
-            for j in members_i[:4]:
-                back = interfering_set(alloc, toy_scenario, int(j), t).members
-                assert int(i) in back
-
-
-def test_interfering_set_rejects_unheld_resource(toy_scenario):
-    node = int(toy_scenario.det_node[2])
-    colors = np.ones(6, dtype=int)
-    colors[node] = 3
-    alloc = alloc_for(toy_scenario, "single", colors.reshape(3, 2))
-    with pytest.raises(ValueError, match="not 1"):
-        interfering_set(alloc, toy_scenario, 2, 1)
+        on_t = np.nonzero(resource_mask(alloc, toy_scenario, t))[0][:4]
+        for i in on_t:
+            for j in on_t[on_t != i]:
+                assert powers[det[j], i] in interference_terms(alloc, toy_scenario, j, t)[0]
+                assert powers[det[i], j] in interference_terms(alloc, toy_scenario, i, t)[0]
 
 
 def test_resource_mask_rejects_bad_id(toy_scenario):
@@ -222,17 +214,17 @@ def test_single_mode_equals_singleton_multiple(toy_scenario):
     multi_colors = np.where(single_colors > 0, 1 << (single_colors - 1), 0)
     a_single = alloc_for(toy_scenario, "single", single_colors)
     a_multi = alloc_for(toy_scenario, "multiple", multi_colors)
-    assert a_single.resource_sets == a_multi.resource_sets
+    np.testing.assert_array_equal(a_single.holds, a_multi.holds)
     np.testing.assert_array_equal(
         effective_probabilities(a_single, toy_scenario),
         effective_probabilities(a_multi, toy_scenario),
     )
     for i in range(toy_scenario.num_sensors):
-        own = a_single.resource_sets[int(toy_scenario.det_node[i])]
-        for t in own:
-            js_s = interfering_set(a_single, toy_scenario, i, t)
-            js_m = interfering_set(a_multi, toy_scenario, i, t)
-            assert js_s == js_m
+        for t in np.flatnonzero(a_single.holds[toy_scenario.det_node[i]]) + 1:
+            w_s, p_s = interference_terms(a_single, toy_scenario, i, t)
+            w_m, p_m = interference_terms(a_multi, toy_scenario, i, t)
+            np.testing.assert_array_equal(w_s, w_m)
+            np.testing.assert_array_equal(p_s, p_m)
 
 
 # --- effective probabilities -------------------------------------------------
@@ -257,11 +249,12 @@ def test_single_resource_keeps_raw_activity(toy_scenario):
     assert np.allclose(p, 0.12)
 
 
-def test_probabilities_in_interfering_set(toy_scenario):
+def test_probabilities_in_interference_terms(toy_scenario):
     colors = np.full(6, 3, dtype=int)  # multiple mode: {1, 2} everywhere
     alloc = alloc_for(toy_scenario, "multiple", colors.reshape(3, 2))
-    js = interfering_set(alloc, toy_scenario, 1, 2)
-    assert js.probabilities[int(js.members[0])] == pytest.approx(0.12 / 2)
+    _, probs = interference_terms(alloc, toy_scenario, 1, 2)
+    assert probs.size > 0
+    assert probs.tolist() == pytest.approx([0.12 / 2] * probs.size)
 
 
 # --- CSV round trip -----------------------------------------------------------
@@ -275,7 +268,7 @@ def test_allocation_csv_roundtrip(tmp_path):
     assert back.mode == alloc.mode
     assert back.num_resources == alloc.num_resources
     np.testing.assert_array_equal(back.colors, alloc.colors)
-    assert back.resource_sets == alloc.resource_sets
+    np.testing.assert_array_equal(back.holds, alloc.holds)
 
 
 def test_allocation_csv_layout(tmp_path):
@@ -304,4 +297,27 @@ def test_allocation_csv_rejects_missing_header(tmp_path):
     path = tmp_path / "alloc.csv"
     path.write_text("cn,beam,color,resource_list\n0,0,1,1\n")
     with pytest.raises(ValueError, match="comment line"):
+        read_allocation_csv(path)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda rows: rows + ["-1,0,3,3"], r"line 7: tuple \(-1, 0\) lies outside"),
+        (lambda rows: rows + ["0,2,1,1"], r"line 7: tuple \(0, 2\) lies outside"),
+        (lambda rows: rows + ["2,0,1,1"], r"line 7: tuple \(2, 0\) lies outside"),
+        (lambda rows: rows[:3] + rows[4:], r"no row for tuple \(0, 1\)"),
+        (lambda rows: rows + [rows[3]], r"line 7: tuple \(0, 1\) is listed twice"),
+        (lambda rows: rows + ["1,1,3"], r"line 7: malformed row"),
+    ],
+    ids=["negative-cn", "beam-too-large", "cn-too-large", "missing-row", "duplicate-row",
+         "short-row"],
+)
+def test_allocation_csv_rejects_bad_rows(tmp_path, edit, message):
+    alloc = ResourceAllocation("single", np.array([[1, 2], [3, 1]]), 3)
+    path = tmp_path / "alloc.csv"
+    write_allocation_csv(alloc, path)
+    rows = path.read_text().splitlines()
+    path.write_text("\n".join(edit(rows)) + "\n")
+    with pytest.raises(ValueError, match=message):
         read_allocation_csv(path)

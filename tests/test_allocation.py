@@ -106,7 +106,7 @@ def test_degrees_and_sweep_order():
     graph = allocation.build_graph(s)
     assert graph.degrees.tolist() == [7, 4, 4, 4, 4, 4, 7, 4]
     assert graph.sweep_order().tolist() == [0, 6, 1, 2, 3, 4, 5, 7]
-    assert sorted(graph.neighbors(1).tolist()) == [0, 2, 3, 6]
+    assert np.flatnonzero(graph.adjacency[1]).tolist() == [0, 2, 3, 6]
 
 
 def test_graph_validation():

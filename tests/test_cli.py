@@ -195,3 +195,28 @@ def test_repeat_runs_are_byte_identical(tmp_path, cfg_file):
             "--values", "12", "--method", "gc5", "--seed", 9,
         ) == 0
     assert (a / "outage_vs_m.csv").read_bytes() == (b / "outage_vs_m.csv").read_bytes()
+
+
+@pytest.mark.parametrize("mode", ["single", "multiple"])
+@pytest.mark.parametrize(
+    "method", [("--method", "gc5"), ("--method", "mc", "--draws", 200)], ids=["gc5", "mc"]
+)
+def test_report_of_written_allocation_equals_recomputed(tmp_path, cfg_file, mode, method):
+    shared = ("--config", cfg_file, "--seed", 3, "--mode", mode)
+    assert run("allocate", *shared, "--out", tmp_path / "alloc") == 0
+    assert run(
+        "report", *shared, *method, "--out", tmp_path / "read",
+        "--allocation", tmp_path / "alloc" / "allocation.csv",
+    ) == 0
+    assert run("report", *shared, *method, "--out", tmp_path / "recomputed") == 0
+    read = (tmp_path / "read" / "outage.csv").read_bytes()
+    assert read == (tmp_path / "recomputed" / "outage.csv").read_bytes()
+
+
+def test_report_allocation_with_out_of_shape_row_exits_1(tmp_path, cfg_file, capsys):
+    run("allocate", "--config", cfg_file, "--out", tmp_path, "--strategy", "random")
+    path = tmp_path / "allocation.csv"
+    path.write_text(path.read_text() + "0,2,1,1\n")  # the tiny config has 2 beams
+    code = run("report", "--config", cfg_file, "--out", tmp_path, "--allocation", path)
+    assert code == 1
+    assert "lies outside" in capsys.readouterr().err

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmtc_outage import access, outage
 from mmtc_outage import scenario as scn
@@ -89,21 +91,44 @@ def test_headroom_matches_definition():
             float(s.own_power[i]) / s.config.detection_threshold
             - float(s.noise_power[i])
         )
-        assert outage.interference_headroom(s, i) == pytest.approx(expected, rel=0)
+        assert outage.interference_headroom(s)[i] == pytest.approx(expected, rel=0)
 
 
 def test_interference_terms_match_member_enumeration():
+    # members and effective activities enumerated from the colors by bit
+    # arithmetic, apart from the library's decoding
     s = toy()
-    alloc = full_reuse(s)
-    probs_all = access.effective_probabilities(alloc, s)
-    for i in (0, 4, 11):
-        weights, probs = outage.interference_terms(alloc, s, i, 1)
-        members = access.interfering_set(alloc, s, i, 1).members
-        d = s.det_node[i]
-        expect_w = [float(s.powers_at[d, j]) for j in members]
-        expect_p = [float(probs_all[j]) for j in members]
-        assert sorted(weights.tolist()) == pytest.approx(sorted(expect_w), rel=0)
-        assert probs.tolist() == pytest.approx(expect_p, rel=0)
+    r = s.config.num_resources
+
+    def held(mode, c):
+        if mode == "single":
+            return [c] if c else []
+        return [n for n in range(1, r + 1) if c >> (n - 1) & 1]
+
+    for mode in ("single", "multiple"):
+        bound = access.color_bound(mode, r)
+        colors = np.random.default_rng(4).integers(0, bound + 1, size=(s.num_cns, s.num_beams))
+        colors[0, 0] = 1
+        alloc = access.ResourceAllocation(mode, colors, r)
+        flat = colors.ravel().tolist()
+        checked = 0
+        for i in range(s.num_sensors):
+            d = int(s.det_node[i])
+            for t in held(mode, flat[d]):
+                members = [
+                    j for j in range(s.num_sensors)
+                    if j != i and t in held(mode, flat[s.det_node[j]])
+                ]
+                expect_w = [float(s.powers_at[d, j]) for j in members]
+                expect_p = [
+                    float(s.activities[j]) / len(held(mode, flat[s.det_node[j]]))
+                    for j in members
+                ]
+                weights, probs = outage.interference_terms(alloc, s, i, t)
+                assert weights.tolist() == expect_w
+                assert probs.tolist() == expect_p
+                checked += 1
+        assert checked > 0
 
 
 def test_cf_tail_matches_enumeration():
@@ -112,7 +137,7 @@ def test_cf_tail_matches_enumeration():
     for i in (0, 5, 12):
         weights, probs = outage.interference_terms(alloc, s, i, 1)
         exact = stats_core.exact_pmf(list(zip(weights, probs)))
-        thr = outage.interference_headroom(s, i)
+        thr = outage.interference_headroom(s)[i]
         got = outage.outage_single(alloc, s, i, 1, CF)
         assert abs(got - exact.tail(thr)) < 1e-3
 
@@ -183,7 +208,7 @@ def test_unheld_resource_raises():
 def test_noise_dominated_sensor_always_fails():
     s = toy(detection_threshold=1e9)
     alloc = full_reuse(s)
-    assert outage.interference_headroom(s, 0) < 0.0
+    assert outage.interference_headroom(s)[0] < 0.0
     for method in (CF, GC5, outage.MonteCarloMethod(100, seed=0)):
         assert outage.outage_single(alloc, s, 0, 1, method) == 1.0
 
@@ -202,12 +227,8 @@ def test_huge_headroom_gives_zero():
 def test_multi_reduces_to_single_for_singleton_sets():
     s = toy()
     single = full_reuse(s)
-    bits = np.zeros(s.config.num_resources, dtype=np.int64)
-    bits[0] = 1
-    one_hot = access.ResourceAllocation(
-        "multiple",
-        np.full((s.num_cns, s.num_beams), access.encode_resources(bits), dtype=np.int64),
-        s.config.num_resources,
+    one_hot = access.ResourceAllocation(  # code 1: resource 1 alone
+        "multiple", np.ones((s.num_cns, s.num_beams), dtype=np.int64), s.config.num_resources
     )
     for i in (0, 5, 16):
         a = outage.outage_single(single, s, i, 1, CF)
@@ -223,7 +244,7 @@ def test_multi_is_uniform_average_over_held_resources():
     colors = rng.integers(1, 8, size=(s.num_cns, s.num_beams))
     alloc = access.ResourceAllocation("multiple", colors, s.config.num_resources)
     for i in (0, 7, 13):
-        held = sorted(alloc.resource_sets[int(s.det_node[i])])
+        held = (np.flatnonzero(alloc.holds[s.det_node[i]]) + 1).tolist()
         singles = [outage.outage_single(alloc, s, i, t, CF) for t in held]
         expected = math.fsum(singles) / len(singles)
         assert outage.outage_multi(alloc, s, i, CF) == pytest.approx(expected, rel=0)
@@ -332,6 +353,34 @@ def test_engine_matches_scalar_multiple_mode():
     rng = np.random.default_rng(12)
     colors = rng.integers(0, 8, size=(s.num_cns, s.num_beams))
     alloc = access.ResourceAllocation("multiple", colors, s.config.num_resources)
+    got = outage.GcOutageEngine(s, 5).outage_vector(alloc)
+    expected = [outage.outage_multi(alloc, s, i, GC5) for i in range(s.num_sensors)]
+    np.testing.assert_allclose(got, expected, rtol=0, atol=5e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    num_sensors=st.integers(1, 14),
+    num_cns=st.integers(1, 4),
+    beams=st.integers(1, 3),
+    num_resources=st.integers(1, 3),
+    activity=st.sampled_from([0.0, 0.12, 0.5, 1.0]),
+    tx_power=st.sampled_from([0.0, 0.1]),
+    mode=st.sampled_from(["single", "multiple"]),
+    seed=st.integers(0, 2**16),
+)
+def test_engine_matches_scalar_series_on_small_scenarios(
+    num_sensors, num_cns, beams, num_resources, activity, tx_power, mode, seed
+):
+    # covers fewer sensors than collectors, one beam, R = 1, activity 0, 0.5
+    # and 1, and tx_power 0 (negative headroom everywhere)
+    s = toy(
+        num_sensors=num_sensors, num_cns=num_cns, beams=beams,
+        num_resources=num_resources, activity=activity, tx_power=tx_power, seed=seed,
+    )
+    bound = access.color_bound(mode, num_resources)
+    colors = np.random.default_rng(seed).integers(0, bound + 1, size=(num_cns, beams))
+    alloc = access.ResourceAllocation(mode, colors, num_resources)
     got = outage.GcOutageEngine(s, 5).outage_vector(alloc)
     expected = [outage.outage_multi(alloc, s, i, GC5) for i in range(s.num_sensors)]
     np.testing.assert_allclose(got, expected, rtol=0, atol=5e-12)
@@ -491,7 +540,7 @@ def test_pooled_densities_share_their_destination_grid():
     for i in (0, 5, 12):
         weights, probs = outage.interference_terms(alloc, s, i, 1)
         exact = stats_core.exact_pmf(list(zip(weights, probs)))
-        thr = outage.interference_headroom(s, i)
+        thr = outage.interference_headroom(s)[i]
         for mult in (0.5, 1.0, 2.0):
             assert fine[(i, 1)].tail(thr * mult) == pytest.approx(
                 exact.tail(thr * mult), abs=2e-3
@@ -533,10 +582,10 @@ def test_pooled_pass_at_high_activity(mode, activity):
     fine = outage.CharFnMethod(1 << 13)
     dists = outage.pooled_cf_densities(alloc, s, fine.grid_points)
     for i in (0, 5, 12):
-        t = min(alloc.resource_sets[s.det_node[i]])
+        t = int(np.flatnonzero(alloc.holds[s.det_node[i]])[0]) + 1
         weights, probs = outage.interference_terms(alloc, s, i, t)
         exact = stats_core.exact_pmf(list(zip(weights, probs)))
-        thr = outage.interference_headroom(s, i)
+        thr = outage.interference_headroom(s)[i]
         for mult in (0.5, 1.0, 2.0):
             assert dists[(i, t)].tail(thr * mult) == pytest.approx(
                 exact.tail(thr * mult), abs=2e-3
@@ -544,7 +593,7 @@ def test_pooled_pass_at_high_activity(mode, activity):
     batch = outage.batch_cf_outage(alloc, s, fine.grid_points)
     expected = [
         np.mean([outage.outage_single(alloc, s, i, t, fine)
-                 for t in sorted(alloc.resource_sets[s.det_node[i]])])
+                 for t in np.flatnonzero(alloc.holds[s.det_node[i]]) + 1])
         for i in range(s.num_sensors)
     ]
     np.testing.assert_allclose(batch, expected, rtol=0, atol=2e-3)

@@ -30,7 +30,6 @@ from mmtc_outage.stats_core import (
     gram_charlier_from_cumulants,
     hermite,
     jsd,
-    lyapunov_statistic,
     sup_cdf_distance,
     tail_probability,
     truncated_kernel,
@@ -580,24 +579,7 @@ def test_jsd_bounds_property(seed):
 
 
 # ---------------------------------------------------------------------------
-# normality diagnostic
-
-
-def test_lyapunov_spec_values():
-    assert lyapunov_statistic([(1.0, 0.5)] * 100, 1.0) == pytest.approx(0.2)
-    assert lyapunov_statistic([(1.0, 0.5)], 1.0) == pytest.approx(2.0)
-
-
-def test_lyapunov_iid_scaling():
-    # M iid terms: statistic shrinks like 1 / sqrt(M) for eps = 1
-    one = lyapunov_statistic([(1.0, 0.3)], 1.0)
-    many = lyapunov_statistic([(1.0, 0.3)] * 400, 1.0)
-    assert many == pytest.approx(one / 20.0, rel=1e-12)
-
-
-def test_lyapunov_degenerate():
-    with pytest.raises(DegenerateModelError):
-        lyapunov_statistic([(1.0, 0.0)], 1.0)
+# term validation
 
 
 def test_term_validation():
