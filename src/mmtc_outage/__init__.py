@@ -58,7 +58,6 @@ from .stats_core import (
     DiscretizedDistribution,
     GramCharlierApprox,
     InterferenceModel,
-    WeightedBernoulliTerm,
     build_model,
     cf_density,
     exact_pmf,

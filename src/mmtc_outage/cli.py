@@ -8,10 +8,10 @@ Subcommands map onto the library's main operations:
 * ``allocate`` greedy or random coloring -> allocation.csv (+ trace.csv)
 * ``report``   per-sensor outage for an allocation -> outage.csv
 
-Shared flags: ``--config`` (key=value file; library defaults when omitted),
-``--seed`` (overrides the config seed and derives all other randomness),
-``--out`` (output directory), ``--mode``, ``--method``.  Exit codes: 0 on
-success, 1 on runtime failure, 2 on usage errors.
+Every subcommand takes ``--config`` (key=value file; library defaults when
+omitted), ``--seed`` (overrides the config seed and derives all other
+randomness) and ``--out`` (output directory), and rejects any flag it does
+not read.  Exit codes: 0 on success, 1 on runtime failure, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -33,7 +33,17 @@ from .scenario import (
 __all__ = ["build_parser", "main", "entry"]
 
 
-def _add_shared(parser: argparse.ArgumentParser) -> None:
+_OPTIONAL_FLAGS = {
+    "--mode": dict(choices=access.MODES, default="single", help="resource mode"),
+    "--method": dict(default="cf", help="outage evaluator: gc0..gc5, gc (=gc5), cf, or mc"),
+    "--grid-points": dict(
+        type=int, default=1 << 12, help="frequency-grid size for cf evaluations (power of two)"
+    ),
+}
+
+
+def _add_shared(parser: argparse.ArgumentParser, *optional: str) -> None:
+    """Add --config, --seed and --out, plus the named ``_OPTIONAL_FLAGS``."""
     parser.add_argument("--config", metavar="PATH", help="scenario config file")
     parser.add_argument(
         "--seed", type=int, default=None, help="override the scenario seed"
@@ -41,20 +51,8 @@ def _add_shared(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--out", metavar="DIR", default=".", help="output directory (default: .)"
     )
-    parser.add_argument(
-        "--mode", choices=access.MODES, default="single", help="resource mode"
-    )
-    parser.add_argument(
-        "--method",
-        default="cf",
-        help="outage evaluator: gc0..gc5, gc (=gc5), cf, or mc",
-    )
-    parser.add_argument(
-        "--grid-points",
-        type=int,
-        default=1 << 12,
-        help="frequency-grid size for cf evaluations (power of two)",
-    )
+    for flag in optional:
+        parser.add_argument(flag, **_OPTIONAL_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,13 +68,13 @@ def build_parser() -> argparse.ArgumentParser:
     approx = commands.add_parser(
         "approx", help="compare series orders against the reference law"
     )
-    _add_shared(approx)
+    _add_shared(approx, "--grid-points")
     approx.add_argument(
         "--sensor", type=int, default=0, help="sensor id to analyze (default 0)"
     )
 
     sweep = commands.add_parser("sweep", help="run a sweep experiment")
-    _add_shared(sweep)
+    _add_shared(sweep, "--mode", "--method", "--grid-points")
     sweep.add_argument(
         "experiment",
         choices=[e for e in experiments.EXPERIMENTS if e != "cdf_compare"],
@@ -98,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     alloc = commands.add_parser("allocate", help="color the interference graph")
-    _add_shared(alloc)
+    _add_shared(alloc, "--mode")
     alloc.add_argument(
         "--strategy", choices=("greedy", "random"), default="greedy"
     )
@@ -107,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     alloc.add_argument("--color-bound", type=int, default=None)
 
     report = commands.add_parser("report", help="per-sensor outage report")
-    _add_shared(report)
+    _add_shared(report, "--mode", "--method", "--grid-points")
     report.add_argument(
         "--strategy", choices=("greedy", "random"), default="greedy"
     )
@@ -136,13 +134,12 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _method_for(args) -> outage.OutageMethod:
+def _method_for(args, config: ScenarioConfig) -> outage.OutageMethod:
     method = outage.parse_method(args.method)
     if isinstance(method, outage.CharFnMethod):
         return outage.CharFnMethod(args.grid_points)
     if isinstance(method, outage.MonteCarloMethod):
-        draws = getattr(args, "draws", method.draws)
-        return outage.MonteCarloMethod(draws=draws, seed=args.seed or 0)
+        return outage.MonteCarloMethod(draws=args.draws, seed=config.seed)
     return method
 
 
@@ -221,10 +218,11 @@ def _cmd_report(args) -> int:
     scenario = generate_scenario(config)
     if args.allocation is not None:
         alloc = access.read_allocation_csv(args.allocation)
-        if alloc.num_tuples != scenario.num_tuples:
+        shape = (alloc.num_cns, alloc.num_beams)
+        if shape != (scenario.num_cns, scenario.num_beams):
             raise ValueError(
-                f"allocation covers {alloc.num_tuples} tuples but the scenario "
-                f"has {scenario.num_tuples}"
+                f"allocation has {shape[0]} x {shape[1]} collector/beam tuples "
+                f"but the scenario has {scenario.num_cns} x {scenario.num_beams}"
             )
     elif args.strategy == "random":
         alloc = allocation.random_allocate(scenario, args.mode, config.seed)
@@ -232,7 +230,7 @@ def _cmd_report(args) -> int:
         alloc = allocation.greedy_allocate(
             scenario, args.mode, allocation.GreedyConfig(init_seed=config.seed)
         ).allocation
-    report = outage.average_outage(alloc, scenario, _method_for(args))
+    report = outage.average_outage(alloc, scenario, _method_for(args, config))
     outage.write_outage_csv(
         report,
         _out_dir(args) / "outage.csv",

@@ -135,9 +135,10 @@ class ExperimentResult:
     rows: Sequence[tuple]
 
 
-def _derived_entropy(seed: int, point: int, rep: int) -> tuple[int, int]:
-    state = np.random.SeedSequence([seed, point, rep]).generate_state(2)
-    return int(state[0]), int(state[1])
+def _derived_entropy(seed: int, point: int, rep: int) -> tuple[int, int, int]:
+    """Scenario, allocation and Monte Carlo seeds of one (point, rep)."""
+    state = np.random.SeedSequence([seed, point, rep]).generate_state(3)
+    return int(state[0]), int(state[1]), int(state[2])
 
 
 def full_reuse_allocation(scenario) -> access.ResourceAllocation:
@@ -172,7 +173,7 @@ def write_experiment_csv(result: ExperimentResult, path: str | Path) -> None:
 
 
 def _cdf_compare(spec: ExperimentSpec) -> ExperimentResult:
-    scenario_seed, _ = _derived_entropy(spec.seed, 0, 0)
+    scenario_seed = _derived_entropy(spec.seed, 0, 0)[0]
     scenario = generate_scenario(replace(spec.config, seed=scenario_seed))
     if not 0 <= spec.sensor < scenario.num_sensors:
         raise ValueError(
@@ -240,7 +241,7 @@ def _error_sweep(spec: ExperimentSpec, vary: str) -> ExperimentResult:
     for point, value in enumerate(spec.sweep):
         totals = {order: 0.0 for order in spec.orders}
         for rep in range(spec.reps):
-            scenario_seed, _ = _derived_entropy(spec.seed, point, rep)
+            scenario_seed = _derived_entropy(spec.seed, point, rep)[0]
             if vary == "num_sensors":
                 cfg = replace(spec.config, num_sensors=int(value), seed=scenario_seed)
             else:
@@ -259,15 +260,17 @@ def _error_sweep(spec: ExperimentSpec, vary: str) -> ExperimentResult:
     )
 
 
-def _outage_report(spec: ExperimentSpec, alloc, scenario) -> np.ndarray:
+def _outage_report(spec: ExperimentSpec, alloc, scenario, mc_seed: int) -> np.ndarray:
     method = outage.parse_method(spec.method)
     if isinstance(method, outage.CharFnMethod):
         method = outage.CharFnMethod(spec.grid_points)
+    elif isinstance(method, outage.MonteCarloMethod):
+        method = outage.MonteCarloMethod(seed=mc_seed)
     return outage.average_outage(alloc, scenario, method).per_sensor
 
 
 def _allocations_for(spec: ExperimentSpec, cfg: ScenarioConfig, point: int, rep: int):
-    scenario_seed, alloc_seed = _derived_entropy(spec.seed, point, rep)
+    scenario_seed, alloc_seed, mc_seed = _derived_entropy(spec.seed, point, rep)
     scenario = generate_scenario(replace(cfg, seed=scenario_seed))
     engine = outage.GcOutageEngine(scenario)
     greedy = allocation.greedy_allocate(
@@ -277,7 +280,7 @@ def _allocations_for(spec: ExperimentSpec, cfg: ScenarioConfig, point: int, rep:
         engine=engine,
     ).allocation
     baseline = allocation.random_allocate(scenario, spec.mode, alloc_seed)
-    return scenario, greedy, baseline
+    return scenario, greedy, baseline, mc_seed
 
 
 def _outage_sweep(spec: ExperimentSpec, vary: str) -> ExperimentResult:
@@ -289,11 +292,10 @@ def _outage_sweep(spec: ExperimentSpec, vary: str) -> ExperimentResult:
             cfg = replace(spec.config, activity=float(value))
         averages = {"greedy": 0.0, "random": 0.0}
         for rep in range(spec.reps):
-            scenario, greedy, baseline = _allocations_for(spec, cfg, point, rep)
-            averages["greedy"] += float(_outage_report(spec, greedy, scenario).mean())
-            averages["random"] += float(
-                _outage_report(spec, baseline, scenario).mean()
-            )
+            scenario, greedy, baseline, mc_seed = _allocations_for(spec, cfg, point, rep)
+            for strategy, alloc in (("greedy", greedy), ("random", baseline)):
+                report = _outage_report(spec, alloc, scenario, mc_seed)
+                averages[strategy] += float(report.mean())
         sweep_value = int(value) if vary == "num_sensors" else float(value)
         for strategy in ("greedy", "random"):
             rows.append(
@@ -309,9 +311,9 @@ def _outage_sweep(spec: ExperimentSpec, vary: str) -> ExperimentResult:
 def _outage_cdf(spec: ExperimentSpec) -> ExperimentResult:
     greedy_values, random_values = [], []
     for rep in range(spec.reps):
-        scenario, greedy, baseline = _allocations_for(spec, spec.config, 0, rep)
-        greedy_values.append(_outage_report(spec, greedy, scenario))
-        random_values.append(_outage_report(spec, baseline, scenario))
+        scenario, greedy, baseline, mc_seed = _allocations_for(spec, spec.config, 0, rep)
+        greedy_values.append(_outage_report(spec, greedy, scenario, mc_seed))
+        random_values.append(_outage_report(spec, baseline, scenario, mc_seed))
     grid = np.linspace(0.0, 1.0, spec.cdf_points)
     f_greedy = empirical_cdf(np.concatenate(greedy_values), grid)
     f_random = empirical_cdf(np.concatenate(random_values), grid)

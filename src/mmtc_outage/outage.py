@@ -158,19 +158,30 @@ def interference_terms(
     return weights[keep], probs[keep]
 
 
+def _require_analytic(method) -> None:
+    if not isinstance(method, (GramCharlierMethod, CharFnMethod)):
+        raise TypeError(
+            f"unsupported method object {method!r}; "
+            "Monte Carlo outage is monte_carlo_outage"
+        )
+
+
 def outage_single(
     alloc: ResourceAllocation,
     scenario: Scenario,
     sensor_index: int,
     resource: int,
-    method: OutageMethod,
+    method: GramCharlierMethod | CharFnMethod,
 ) -> float:
-    """Outage probability of one sensor transmitting on one fixed resource.
+    """Outage probability of one sensor transmitting on one fixed resource,
+    by the series or the characteristic-function route.  Monte Carlo is
+    :func:`monte_carlo_outage`, which redraws the sensor's resource.
 
     Conventions: a sensor on a switched-off tuple (empty resource set) is in
     outage with probability 1; negative headroom gives 1; an interference
     support below the headroom gives 0.
     """
+    _require_analytic(method)
     held = (np.flatnonzero(alloc.holds[scenario.det_node[sensor_index]]) + 1).tolist()
     if not held:
         return 1.0
@@ -181,11 +192,6 @@ def outage_single(
     threshold = float(interference_headroom(scenario)[sensor_index])
     if threshold < 0.0:
         return 1.0
-    if isinstance(method, MonteCarloMethod):
-        return _mc_outage(
-            alloc, scenario, sensor_index, method.draws,
-            [method.seed, sensor_index, resource], resource,
-        )
     weights, probs = interference_terms(alloc, scenario, sensor_index, resource)
     if weights.size == 0:
         return 0.0
@@ -194,22 +200,21 @@ def outage_single(
     if isinstance(method, CharFnMethod):
         dist = cf_density(list(zip(weights, probs)), method.grid_points)
         return float(dist.tail(threshold))
-    if isinstance(method, GramCharlierMethod):
-        model = build_model(list(zip(weights, probs)))
-        if model.variance <= 0.0:
-            # all contributors are always-on: interference is deterministic
-            return 1.0 if model.mean > threshold else 0.0
-        return tail_probability(gram_charlier(model, method.order), threshold)
-    raise TypeError(f"unsupported method object {method!r}")
+    model = build_model(list(zip(weights, probs)))
+    if model.variance <= 0.0:
+        # all contributors are always-on: interference is deterministic
+        return 1.0 if model.mean > threshold else 0.0
+    return tail_probability(gram_charlier(model, method.order), threshold)
 
 
 def outage_multi(
     alloc: ResourceAllocation,
     scenario: Scenario,
     sensor_index: int,
-    method: OutageMethod,
+    method: GramCharlierMethod | CharFnMethod,
 ) -> float:
     """Outage averaged uniformly over the sensor's held resources."""
+    _require_analytic(method)
     held = (np.flatnonzero(alloc.holds[scenario.det_node[sensor_index]]) + 1).tolist()
     if not held:
         return 1.0
@@ -230,23 +235,26 @@ def _resource_table(alloc: ResourceAllocation) -> tuple[np.ndarray, np.ndarray]:
     return np.where(held, cols + 1, 0), sizes
 
 
-def _mc_outage(
+def monte_carlo_outage(
     alloc: ResourceAllocation,
     scenario: Scenario,
     sensor_index: int,
-    draws: int,
-    seed_key: list[int],
-    resource: int | None,
+    draws: int = 100_000,
+    seed: int = 0,
 ) -> float:
-    """Vectorized Monte Carlo core.
+    """Empirical outage frequency over ``draws`` independent draws.
 
     Per draw: every candidate interferer is active with its activity
     probability and, if active, transmits on one resource drawn uniformly
-    from its tuple's set; the reference sensor transmits on ``resource``
-    (or, when None, on a uniform draw from its own set).  The outage event
-    is counted as interference strictly above the headroom, matching the
-    tail convention of the analytic methods.
+    from its tuple's set; the reference sensor transmits on a uniform draw
+    from its own set, so the estimate is :func:`outage_multi`'s resource
+    average.  The outage event is counted as interference strictly above
+    the headroom, matching the tail convention of the analytic methods.
+    Draws come from ``default_rng([seed, sensor_index])``, so the result is
+    deterministic given the seed.
     """
+    if draws < 1:
+        raise ValueError("draws must be >= 1")
     det = scenario.det_node
     node = int(det[sensor_index])
     own_arr = np.flatnonzero(alloc.holds[node]) + 1
@@ -258,10 +266,7 @@ def _mc_outage(
     table, sizes = _resource_table(alloc)
     candidate = (sizes[det] > 0) & (scenario.activities > 0.0)
     candidate[sensor_index] = False
-    if resource is None:
-        candidate &= (alloc.holds[det] & alloc.holds[node]).any(axis=1)
-    else:
-        candidate &= resource_mask(alloc, scenario, resource)
+    candidate &= (alloc.holds[det] & alloc.holds[node]).any(axis=1)
     ids = np.nonzero(candidate)[0]
     if ids.size == 0:
         return 0.0
@@ -269,16 +274,13 @@ def _mc_outage(
     acts = scenario.activities[ids]
     nodes = det[ids]
     node_sizes = sizes[nodes]
-    rng = np.random.default_rng(seed_key)
+    rng = np.random.default_rng([seed, sensor_index])
     chunk = max(1, _MC_CHUNK_TARGET // ids.size)
     failures = 0
     remaining = draws
     while remaining:
         n = min(chunk, remaining)
-        if resource is None:
-            mine = own_arr[rng.integers(0, own_arr.size, size=n)]
-        else:
-            mine = np.full(n, resource, dtype=np.int64)
+        mine = own_arr[rng.integers(0, own_arr.size, size=n)]
         active = rng.random((n, ids.size)) < acts[None, :]
         slots = rng.integers(0, node_sizes[None, :], size=(n, ids.size))
         chosen = table[nodes[None, :], slots]
@@ -287,20 +289,6 @@ def _mc_outage(
         failures += int(np.count_nonzero(interference > threshold))
         remaining -= n
     return failures / draws
-
-
-def monte_carlo_outage(
-    alloc: ResourceAllocation,
-    scenario: Scenario,
-    sensor_index: int,
-    draws: int = 100_000,
-    seed: int = 0,
-) -> float:
-    """Empirical outage frequency; the sensor's own resource is redrawn
-    uniformly from its set on every draw.  Deterministic given the seed."""
-    if draws < 1:
-        raise ValueError("draws must be >= 1")
-    return _mc_outage(alloc, scenario, sensor_index, draws, [seed, sensor_index], None)
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +525,6 @@ def _pooled_pass(
     scenario: Scenario,
     grid_points: int,
     consume,
-    drop_tol: float = _POOL_DROP_TOL,
     sensors: np.ndarray | None = None,
 ) -> None:
     """Shared-grid CF inversion for every (sensor, held resource) pair.
@@ -549,7 +536,7 @@ def _pooled_pass(
     (p_eff = 0.5).  ``consume(sensor, resource, distribution)`` is called
     for every pair of the given ``sensors`` (all when None), and only their
     destination tuples are pooled; sensors on switched-off tuples are never
-    passed.  Terms contributing less than ``drop_tol`` of a destination's
+    passed.  Terms contributing less than ``_POOL_DROP_TOL`` of a destination's
     total weight are dropped from the pool.
     """
     q_pts = int(grid_points)
@@ -565,7 +552,7 @@ def _pooled_pass(
         elig_ids = np.flatnonzero((p_eff > 0.0) & (row > 0.0))
         elig_ids = elig_ids[np.argsort(row[elig_ids])]
         cum = np.cumsum(row[elig_ids])
-        kept_ids = elig_ids[cum > drop_tol * cum[-1]] if cum.size else elig_ids
+        kept_ids = elig_ids[cum > _POOL_DROP_TOL * cum[-1]] if cum.size else elig_ids
         kept = np.zeros(scenario.num_sensors, dtype=bool)
         kept[kept_ids] = True
         kept_total = float(row[kept_ids].sum())
@@ -706,8 +693,8 @@ def average_outage(
     """Evaluate every sensor's outage under the allocation.
 
     Gram-Charlier and characteristic-function methods run through the
-    batched evaluators; Monte Carlo loops over sensors with per-sensor
-    derived seeds.
+    batched evaluators; Monte Carlo runs :func:`monte_carlo_outage` per
+    sensor, each drawing from ``[method.seed, sensor]``.
     """
     if isinstance(method, GramCharlierMethod):
         per_sensor = GcOutageEngine(scenario, method.order).outage_vector(alloc)
@@ -716,7 +703,7 @@ def average_outage(
     elif isinstance(method, MonteCarloMethod):
         per_sensor = np.array(
             [
-                _mc_outage(alloc, scenario, i, method.draws, [method.seed, i], None)
+                monte_carlo_outage(alloc, scenario, i, method.draws, method.seed)
                 for i in range(scenario.num_sensors)
             ]
         )

@@ -17,7 +17,6 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -113,8 +112,6 @@ class Scenario:
 
     config: ScenarioConfig
     cn_positions: np.ndarray  # (K, 2)
-    beam_angles: np.ndarray  # (L,) boresight azimuths, radians
-    filters: np.ndarray  # (K, N, L) complex
     positions: np.ndarray  # (M, 2)
     home_cn: np.ndarray  # (M,) int
     activities: np.ndarray  # (M,) float
@@ -140,7 +137,12 @@ class Scenario:
 
     @property
     def num_beams(self) -> int:
-        return self.beam_angles.shape[0]
+        return self.config.num_beams
+
+    @property
+    def beam_angles(self) -> np.ndarray:
+        """(L,) boresight azimuths of the beams, radians."""
+        return beam_boresights(self.num_beams)
 
     @property
     def num_tuples(self) -> int:
@@ -193,52 +195,21 @@ def _channels_for_cn(
     return amp[:, None] * np.exp(1j * phase)
 
 
-def _normalize_filters(
-    filters: np.ndarray | Sequence[np.ndarray] | None, config: ScenarioConfig
-) -> np.ndarray:
-    num_cns, antennas, beams = config.num_cns, config.antennas, config.num_beams
-    if filters is None:
-        bank = np.broadcast_to(
-            uniform_beam_filters(antennas, beams), (num_cns, antennas, beams)
-        ).copy()
-    else:
-        arr = np.asarray(filters, dtype=complex)
-        if arr.shape == (antennas, beams):
-            bank = np.broadcast_to(arr, (num_cns, antennas, beams)).copy()
-        elif arr.shape == (num_cns, antennas, beams):
-            bank = arr.copy()
-        else:
-            raise ValueError(
-                f"filters must have shape {(antennas, beams)} or "
-                f"{(num_cns, antennas, beams)}, got {arr.shape}"
-            )
-    if np.any(np.linalg.norm(bank, axis=1) == 0.0):
-        raise ValueError("every filter column must be nonzero")
-    return bank
-
-
 def assemble_scenario(
     config: ScenarioConfig,
     cn_positions: np.ndarray,
     sensor_positions: np.ndarray,
     home_cn: np.ndarray,
-    *,
-    filters: np.ndarray | Sequence[np.ndarray] | None = None,
-    beam_angles: np.ndarray | None = None,
 ) -> Scenario:
     """Finish a deployment from explicit geometry.
 
-    Computes channels for every (collector, sensor) pair, received powers at
-    every collector/beam tuple, and each sensor's detection tuple (argmax of
-    post-filter SNR, ties to the lexicographically smallest tuple).  This is
-    the hook for hand-placed geometry; ``generate_scenario`` draws the
-    positions and delegates here.
-
-    Alternative beamforming schemes plug in through ``filters`` (one (N, L)
-    matrix shared by all collectors, or a (K, N, L) stack).  ``beam_angles``
-    declares the pointing azimuth of each beam index; it defaults to the
-    equispaced grid and is only consulted by the interference-graph rules,
-    never inferred from the filter coefficients.
+    Every collector carries the :func:`uniform_beam_filters` bank, beam l
+    pointing at ``beam_boresights(L)[l]``.  Computes channels for every
+    (collector, sensor) pair, received powers at every collector/beam tuple,
+    and each sensor's detection tuple (argmax of post-filter SNR, ties to
+    the lexicographically smallest tuple).  This is the hook for
+    hand-placed geometry; ``generate_scenario`` draws the positions and
+    delegates here.
     """
     cn_positions = np.asarray(cn_positions, dtype=float)
     sensor_positions = np.asarray(sensor_positions, dtype=float)
@@ -257,23 +228,17 @@ def assemble_scenario(
         )
     if home.shape != (num_sensors,) or np.any((home < 0) | (home >= num_cns)):
         raise ValueError("home_cn must hold one collector index per sensor")
-    if beam_angles is None:
-        beam_angles = beam_boresights(num_beams)
-    else:
-        beam_angles = np.asarray(beam_angles, dtype=float)
-        if beam_angles.shape != (num_beams,):
-            raise ValueError(f"beam_angles must have shape ({num_beams},)")
-    bank = _normalize_filters(filters, config)
+    bank = uniform_beam_filters(config.antennas, num_beams)  # (N, L)
 
     # powers_at[k * L + l, j] = P * |g_{k,l}^H h_{k,j}|^2
     powers = np.empty((num_cns, num_beams, num_sensors))
     for k in range(num_cns):
         channels = _channels_for_cn(cn_positions[k], sensor_positions, config)  # (M, N)
-        projection = bank[k].conj().T @ channels.T  # (L, M)
+        projection = bank.conj().T @ channels.T  # (L, M)
         powers[k] = np.abs(projection) ** 2
     powers_at = config.tx_power * powers.reshape(num_cns * num_beams, num_sensors)
 
-    filter_gains = np.sum(np.abs(bank) ** 2, axis=1).reshape(-1)  # (D,)
+    filter_gains = np.tile(np.sum(np.abs(bank) ** 2, axis=0), num_cns)  # (D,)
     snr = powers_at / (config.noise_power * filter_gains)[:, None]
     det_node = np.argmax(snr, axis=0)  # first max <=> smallest (k, l)
     own_power = powers_at[det_node, np.arange(num_sensors)]
@@ -282,8 +247,6 @@ def assemble_scenario(
     return Scenario(
         config=config,
         cn_positions=cn_positions,
-        beam_angles=beam_angles,
-        filters=bank,
         positions=sensor_positions,
         home_cn=home,
         activities=np.full(num_sensors, config.activity),
@@ -314,12 +277,7 @@ def _disk_points(
     return points
 
 
-def generate_scenario(
-    config: ScenarioConfig,
-    *,
-    filters: np.ndarray | Sequence[np.ndarray] | None = None,
-    beam_angles: np.ndarray | None = None,
-) -> Scenario:
+def generate_scenario(config: ScenarioConfig) -> Scenario:
     """Draw a deployment: collectors uniform in the service square, sensors
     uniform (with a minimum-distance core removed) in a disk around their
     home collector, split as evenly as possible across collectors.
@@ -341,10 +299,7 @@ def generate_scenario(
     ]
     sensor_positions = np.vstack(chunks)
     home = np.repeat(np.arange(config.num_cns), counts)
-    return assemble_scenario(
-        config, cn_positions, sensor_positions, home,
-        filters=filters, beam_angles=beam_angles,
-    )
+    return assemble_scenario(config, cn_positions, sensor_positions, home)
 
 
 _INT_FIELDS = frozenset(

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "WeightedBernoulliTerm",
     "InterferenceModel",
     "AtomicDistribution",
     "DiscretizedDistribution",
@@ -123,31 +122,12 @@ def collect_power_coefficients(coeffs) -> np.ndarray:
 # terms and models
 
 
-@dataclass(frozen=True)
-class WeightedBernoulliTerm:
-    """One interferer: received power ``weight``, activity ``probability``."""
-
-    weight: float
-    probability: float
-
-    def __post_init__(self):
-        if not self.weight >= 0.0:
-            raise ValueError(f"weight must be nonnegative, got {self.weight}")
-        if not 0.0 <= self.probability <= 1.0:
-            raise ValueError(f"probability must lie in [0, 1], got {self.probability}")
-
-
 def _term_arrays(terms):
-    """Normalize an iterable of terms or (weight, probability) pairs to arrays."""
+    """Split (weight, probability) pairs into two checked float arrays."""
     weights, probs = [], []
-    for t in terms:
-        if isinstance(t, WeightedBernoulliTerm):
-            weights.append(t.weight)
-            probs.append(t.probability)
-        else:
-            w, p = t
-            weights.append(float(w))
-            probs.append(float(p))
+    for w, p in terms:
+        weights.append(float(w))
+        probs.append(float(p))
     a = np.asarray(weights, dtype=float)
     p = np.asarray(probs, dtype=float)
     if a.size:
@@ -177,7 +157,6 @@ class InterferenceModel:
     ``cumulant(n)`` is the 1-based view.
     """
 
-    terms: tuple[WeightedBernoulliTerm, ...]
     support_bound: float
     mean: float
     variance: float
@@ -214,14 +193,10 @@ def build_model(terms, max_order: int = 5) -> InterferenceModel:
     if not 2 <= max_order <= 5:
         raise ValueError(f"max_order must lie in 2..5, got {max_order}")
     a, p = _term_arrays(terms)
-    term_objs = tuple(
-        WeightedBernoulliTerm(float(w), float(q)) for w, q in zip(a, p)
-    )
     if a.size == 0:
-        return InterferenceModel((), 0.0, 0.0, 0.0, (0.0,) * max_order)
+        return InterferenceModel(0.0, 0.0, 0.0, (0.0,) * max_order)
     cumulants = _cumulant_sums(a, p, max_order)
     return InterferenceModel(
-        terms=term_objs,
         support_bound=float(a.sum()),
         mean=float(cumulants[0]),
         variance=float(cumulants[1]),
@@ -253,12 +228,6 @@ class AtomicDistribution:
             raise ValueError("masses must sum to one")
         object.__setattr__(self, "locations", loc)
         object.__setattr__(self, "masses", mass)
-
-    def cdf(self, x):
-        idx = np.searchsorted(self.locations, np.asarray(x, dtype=float), side="right")
-        cum = np.concatenate([[0.0], np.cumsum(self.masses)])
-        out = cum[idx]
-        return float(out) if np.ndim(x) == 0 else out
 
     def tail(self, threshold: float) -> float:
         """Mass strictly above ``threshold``."""

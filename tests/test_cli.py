@@ -128,7 +128,6 @@ def test_sweep_outage_cdf(tmp_path, cfg_file):
 def test_allocate_greedy_emits_allocation_and_trace(tmp_path, cfg_file):
     code = run(
         "allocate", "--config", cfg_file, "--seed", 5, "--out", tmp_path,
-        "--method", "gc5",
     )
     assert code == 0
     alloc = access.read_allocation_csv(tmp_path / "allocation.csv")
@@ -176,6 +175,47 @@ def test_report_mismatched_allocation_exits_1(tmp_path, cfg_file, capsys):
     )
     assert code == 1
     assert "tuples" in capsys.readouterr().err
+
+
+def test_report_allocation_of_other_shape_exits_1(tmp_path, cfg_file, capsys):
+    # 2 x 2 tuples in the tiny scenario, 4 x 1 in the file: same count
+    tall = access.ResourceAllocation("single", np.array([[1], [2], [1], [2]]), 2)
+    access.write_allocation_csv(tall, tmp_path / "tall.csv")
+    code = run(
+        "report", "--config", cfg_file, "--out", tmp_path,
+        "--allocation", tmp_path / "tall.csv",
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "4 x 1" in err and "2 x 2" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen", "--mode", "multiple"),
+        ("gen", "--method", "gc5"),
+        ("gen", "--grid-points", "256"),
+        ("approx", "--mode", "multiple"),
+        ("approx", "--method", "gc5"),
+        ("allocate", "--method", "gc5"),
+        ("allocate", "--grid-points", "256"),
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_flag_the_subcommand_does_not_read_is_usage_error(tmp_path, cfg_file, argv):
+    with pytest.raises(SystemExit) as info:
+        run(argv[0], "--config", cfg_file, "--out", tmp_path, *argv[1:])
+    assert info.value.code == 2
+
+
+def test_report_mc_seed_is_the_config_seed(tmp_path, cfg_file):
+    cfg_file.write_text(TINY_CFG + "seed=7\n")
+    shared = ("--config", cfg_file, "--method", "mc", "--draws", 500)
+    assert run("report", *shared, "--out", tmp_path / "implicit") == 0
+    assert run("report", *shared, "--seed", 7, "--out", tmp_path / "explicit") == 0
+    implicit = (tmp_path / "implicit" / "outage.csv").read_bytes()
+    assert implicit == (tmp_path / "explicit" / "outage.csv").read_bytes()
 
 
 def test_report_mc_method(tmp_path, cfg_file):

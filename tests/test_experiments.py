@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mmtc_outage import experiments, outage
+from mmtc_outage import allocation, experiments, outage
 from mmtc_outage import scenario as scn
 from mmtc_outage.stats_core import DegenerateModelError, build_model, gram_charlier, jsd
 
@@ -240,7 +240,7 @@ def test_cdf_compare_rows_equal_scalar_route(activity):
         sensor=5, grid_points=256,
     )
     table = np.array(experiments.run_experiment(spec).rows)
-    scenario_seed, _ = experiments._derived_entropy(spec.seed, 0, 0)
+    scenario_seed = experiments._derived_entropy(spec.seed, 0, 0)[0]
     s = scn.generate_scenario(replace(spec.config, seed=scenario_seed))
     alloc = experiments.full_reuse_allocation(s)
     reference = outage.pooled_cf_densities(alloc, s, 256, sensors=np.array([5]))[(5, 1)]
@@ -264,7 +264,7 @@ def test_error_sweep_scores_a_law_inside_one_bin():
     spec = experiments.ExperimentSpec(
         "error_vs_p", replace(DESK, num_sensors=60), seed=1303, sweep=(0.3,), grid_points=1024
     )
-    scenario_seed, _ = experiments._derived_entropy(spec.seed, 0, 0)
+    scenario_seed = experiments._derived_entropy(spec.seed, 0, 0)[0]
     s = scn.generate_scenario(replace(spec.config, activity=0.3, seed=scenario_seed))
     alloc = experiments.full_reuse_allocation(s)
     reference = outage.pooled_cf_densities(alloc, s, 1024, sensors=np.array([53]))[(53, 1)]
@@ -311,6 +311,31 @@ def test_outage_vs_m_schema_and_gap():
     greedy, random_ = result.rows[0][3], result.rows[1][3]
     assert 0.0 <= greedy <= 1.0 and 0.0 <= random_ <= 1.0
     assert greedy <= random_ + 1e-12
+
+
+def test_outage_sweep_mc_seeds_derive_from_point_and_rep():
+    # Monte Carlo draws follow SeedSequence([seed, point, rep]) like the
+    # scenario and allocation draws: its third word seeds them
+    spec = spec_for("outage_vs_m", sweep=(6, 8), reps=2, method="mc")
+    rows = experiments.run_experiment(spec).rows
+    for point, num_sensors in enumerate(spec.sweep):
+        totals = {"greedy": 0.0, "random": 0.0}
+        for rep in (0, 1):
+            state = np.random.SeedSequence([spec.seed, point, rep]).generate_state(3)
+            scenario_seed, alloc_seed, mc_seed = (int(v) for v in state)
+            cfg = replace(spec.config, num_sensors=num_sensors, seed=scenario_seed)
+            s = scn.generate_scenario(cfg)
+            allocs = {
+                "greedy": allocation.greedy_allocate(
+                    s, "single", allocation.GreedyConfig(init_seed=alloc_seed)
+                ).allocation,
+                "random": allocation.random_allocate(s, "single", alloc_seed),
+            }
+            for strategy, alloc in allocs.items():
+                method = outage.MonteCarloMethod(seed=mc_seed)
+                totals[strategy] += outage.average_outage(alloc, s, method).average
+        assert rows[2 * point][3] == totals["greedy"] / 2
+        assert rows[2 * point + 1][3] == totals["random"] / 2
 
 
 def test_outage_vs_p_multiple_mode():

@@ -178,8 +178,9 @@ def test_no_interferers_with_good_snr_gives_zero():
     node = int(s.det_node[0])
     lone = np.count_nonzero(s.det_node == node) == 1
     if lone:
-        for method in (CF, GC5, outage.MonteCarloMethod(2000, seed=1)):
+        for method in (CF, GC5):
             assert outage.outage_single(alloc, s, 0, 1, method) == 0.0
+        assert outage.monte_carlo_outage(alloc, s, 0, draws=2000, seed=1) == 0.0
     else:
         got = outage.outage_single(alloc, s, 0, 1, CF)
         full = outage.outage_single(full_reuse(s), s, 0, 1, CF)
@@ -192,10 +193,10 @@ def test_switched_off_tuple_is_certain_outage():
     k, l = divmod(int(s.det_node[3]), s.num_beams)
     colors[k, l] = 0
     alloc = access.ResourceAllocation("single", colors, s.config.num_resources)
-    for method in (CF, GC5, outage.MonteCarloMethod(100, seed=0)):
+    for method in (CF, GC5):
         assert outage.outage_single(alloc, s, 3, 1, method) == 1.0
         assert outage.outage_multi(alloc, s, 3, method) == 1.0
-    assert outage.monte_carlo_outage(alloc, s, 3, draws=50, seed=0) == 1.0
+    assert outage.monte_carlo_outage(alloc, s, 3, draws=100, seed=0) == 1.0
 
 
 def test_unheld_resource_raises():
@@ -209,15 +210,17 @@ def test_noise_dominated_sensor_always_fails():
     s = toy(detection_threshold=1e9)
     alloc = full_reuse(s)
     assert outage.interference_headroom(s)[0] < 0.0
-    for method in (CF, GC5, outage.MonteCarloMethod(100, seed=0)):
+    for method in (CF, GC5):
         assert outage.outage_single(alloc, s, 0, 1, method) == 1.0
+    assert outage.monte_carlo_outage(alloc, s, 0, draws=100, seed=0) == 1.0
 
 
 def test_huge_headroom_gives_zero():
     s = toy(detection_threshold=1e-12)
     alloc = full_reuse(s)
-    for method in (CF, GC5, outage.MonteCarloMethod(500, seed=0)):
+    for method in (CF, GC5):
         assert outage.outage_single(alloc, s, 0, 1, method) == 0.0
+    assert outage.monte_carlo_outage(alloc, s, 0, draws=500, seed=0) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +264,7 @@ def test_mc_matches_cf_within_binomial_error():
     for i in (0, 5):
         p_cf = outage.outage_single(alloc, s, i, 1, CF)
         assert 0.0 < p_cf < 1.0
-        p_mc = outage.outage_single(
-            alloc, s, i, 1, outage.MonteCarloMethod(draws=draws, seed=9)
-        )
+        p_mc = outage.monte_carlo_outage(alloc, s, i, draws=draws, seed=9)
         se = math.sqrt(p_cf * (1.0 - p_cf) / draws)
         assert abs(p_mc - p_cf) < 4.0 * se + 2e-3
 
@@ -274,11 +275,29 @@ def test_mc_is_deterministic_per_seed():
     a = outage.monte_carlo_outage(alloc, s, 4, draws=500, seed=21)
     b = outage.monte_carlo_outage(alloc, s, 4, draws=500, seed=21)
     assert a == b
-    c = outage.outage_single(alloc, s, 4, 1, outage.MonteCarloMethod(500, seed=21))
-    d = outage.outage_single(alloc, s, 4, 1, outage.MonteCarloMethod(500, seed=21))
-    assert c == d
     with pytest.raises(ValueError):
         outage.monte_carlo_outage(alloc, s, 4, draws=0)
+
+
+@pytest.mark.parametrize("fill", [1, 0], ids=["held", "switched-off"])
+def test_analytic_routes_reject_monte_carlo_method(fill):
+    # raised at entry, also where an edge convention would return first
+    s = toy()
+    alloc = access.ResourceAllocation("single", single_colors(s, fill), 3)
+    mc = outage.MonteCarloMethod(100, seed=0)
+    with pytest.raises(TypeError, match="monte_carlo_outage"):
+        outage.outage_single(alloc, s, 0, 1, mc)
+    with pytest.raises(TypeError, match="monte_carlo_outage"):
+        outage.outage_multi(alloc, s, 0, mc)
+
+
+@pytest.mark.parametrize("mode,code", [("single", 2), ("multiple", 5)])
+def test_average_outage_mc_is_the_per_sensor_loop(mode, code):
+    s = toy()
+    alloc = access.ResourceAllocation(mode, single_colors(s, code), s.config.num_resources)
+    report = outage.average_outage(alloc, s, outage.MonteCarloMethod(300, seed=17))
+    loop = [outage.monte_carlo_outage(alloc, s, i, 300, 17) for i in range(s.num_sensors)]
+    assert report.per_sensor.tolist() == loop
 
 
 def test_always_on_interferers_are_deterministic():
@@ -286,7 +305,7 @@ def test_always_on_interferers_are_deterministic():
     alloc = full_reuse(s)
     for i in range(0, 18, 5):
         gc = outage.outage_single(alloc, s, i, 1, GC5)
-        mc = outage.outage_single(alloc, s, i, 1, outage.MonteCarloMethod(64, seed=0))
+        mc = outage.monte_carlo_outage(alloc, s, i, draws=64, seed=0)
         cf = outage.outage_single(alloc, s, i, 1, CF)
         assert gc in (0.0, 1.0)
         assert mc == gc

@@ -156,11 +156,12 @@ def test_detection_tuple_attains_exhaustive_maximum():
     scn = generate_scenario(small_config(num_sensors=40, num_cns=4, antennas=6))
     K, L, N = scn.num_cns, scn.num_beams, scn.config.antennas
     channels = [_channels_for_cn(scn.cn_positions[k], scn.positions, scn.config) for k in range(K)]
+    bank = uniform_beam_filters(N, L)  # every collector's bank
     for i in range(scn.num_sensors):
         best, best_node = -1.0, -1
         for k in range(K):
             for l in range(L):
-                g = scn.filters[k, :, l]
+                g = bank[:, l]
                 num = abs(np.vdot(g, channels[k][i])) ** 2
                 ratio = num / (scn.config.noise_power * np.vdot(g, g).real)
                 if ratio > best:
@@ -172,13 +173,6 @@ def test_beam_select_single_candidate():
     cfg = small_config(num_sensors=6, num_cns=1, antennas=4, beams=1)
     scn = generate_scenario(cfg)
     assert all(scn.detection_tuple(i) == (0, 0) for i in range(6))
-
-
-def test_beam_select_invariant_under_filter_scaling():
-    cfg = small_config(seed=3)
-    plain = generate_scenario(cfg)
-    scaled = generate_scenario(cfg, filters=(0.5 - 2.0j) * uniform_beam_filters(8, 8))
-    assert np.array_equal(plain.det_node, scaled.det_node)
 
 
 def test_constructed_geometry_selects_boresight_beam():
@@ -221,23 +215,12 @@ def test_noise_power_scales_with_filter_norm():
     scn = generate_scenario(cfg)
     # steering-vector filters all have squared norm N
     assert np.allclose(scn.noise_power, cfg.noise_power * cfg.antennas)
-    unit = uniform_beam_filters(8, 8) / math.sqrt(8.0)
-    scn_unit = generate_scenario(cfg, filters=unit)
-    assert np.allclose(scn_unit.noise_power, cfg.noise_power)
 
 
 def test_scenario_arrays_are_read_only():
     scn = generate_scenario(small_config())
     with pytest.raises(ValueError):
         scn.powers_at[0, 0] = 1.0
-
-
-def test_rejects_zero_filter_column():
-    cfg = small_config()
-    bad = uniform_beam_filters(8, 8)
-    bad[:, 2] = 0.0
-    with pytest.raises(ValueError, match="nonzero"):
-        generate_scenario(cfg, filters=bad)
 
 
 # --- config validation and parsing ----------------------------------------

@@ -20,7 +20,6 @@ from mmtc_outage.stats_core import (
     AtomicDistribution,
     DegenerateKernelError,
     DegenerateModelError,
-    WeightedBernoulliTerm,
     bell_complete,
     build_model,
     cf_density,
@@ -340,10 +339,14 @@ def test_kernel_underflow_rejected():
 # series approximation
 
 
-def _random_model(seed, n=300, p=0.1, decades=1.0):
+def _random_terms(seed, n=300, p=0.1, decades=1.0):
     rng = np.random.default_rng(seed)
     weights = 10.0 ** rng.uniform(-decades, 0.0, n)
-    return build_model(list(zip(weights, np.full(n, p))), max_order=5)
+    return list(zip(weights, np.full(n, p)))
+
+
+def _random_model(seed, n=300, p=0.1, decades=1.0):
+    return build_model(_random_terms(seed, n, p, decades), max_order=5)
 
 
 def test_order0_is_bare_kernel():
@@ -411,7 +414,7 @@ def test_series_rows_match_one_row_calls():
     kappa = np.array([m.cumulants for m in models])
     supports = np.array([m.support_bound for m in models])
     mu, sigma, _, norm, an = _series_coefficients(kappa, supports, range(6), _ndtr_rows)
-    ref = cf_density(models[0].terms, 1 << 8)
+    ref = cf_density(_random_terms(0, n=80, p=0.2), 1 << 8)
     lower, upper = np.full(5, ref.lower), np.full(5, ref.upper)
     for order in range(6):
         coeffs = an[order].T[:, :, None]
@@ -587,5 +590,8 @@ def test_term_validation():
         build_model([(-1.0, 0.5)])
     with pytest.raises(ValueError):
         build_model([(1.0, 1.5)])
-    t = WeightedBernoulliTerm(0.5, 0.25)
-    assert build_model([t]).mean == pytest.approx(0.125)
+    with pytest.raises(ValueError):
+        build_model([(float("nan"), 0.5)])
+    with pytest.raises(ValueError):
+        build_model([(1.0, float("nan"))])
+    assert build_model([(0.5, 0.25)]).mean == pytest.approx(0.125)
