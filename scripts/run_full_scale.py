@@ -28,19 +28,24 @@ def main() -> int:
     args = parser.parse_args()
 
     shared = ["--config", args.config, "--seed", str(args.seed)]
+
+    def written(mode: str) -> str:
+        # the reports read the greedy allocation that allocate_<mode> wrote
+        return str(Path(args.out) / f"allocate_{mode}" / "allocation.csv")
+
     runs = [
         ("scenario", ["gen"]),
         ("cdf_compare", ["approx", "--sensor", "0", "--grid-points", "4096"]),
         ("allocate_single", ["allocate", "--strategy", "greedy", "--mode", "single"]),
-        ("report_single", ["report", "--strategy", "greedy", "--mode", "single",
-                           "--method", "cf"]),
+        ("report_single", ["report", "--allocation", written("single"),
+                           "--mode", "single", "--method", "cf"]),
         ("outage_cdf_single", ["sweep", "outage_cdf", "--mode", "single"]),
     ]
     if not args.skip_multiple:
         runs += [
             ("allocate_multiple", ["allocate", "--strategy", "greedy",
                                    "--mode", "multiple"]),
-            ("report_multiple", ["report", "--strategy", "greedy",
+            ("report_multiple", ["report", "--allocation", written("multiple"),
                                  "--mode", "multiple", "--method", "cf"]),
             ("outage_cdf_multiple", ["sweep", "outage_cdf", "--mode", "multiple"]),
         ]

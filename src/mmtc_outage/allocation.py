@@ -175,9 +175,9 @@ def greedy_allocate(
 ) -> GreedyResult:
     """Sweep-descent coloring that minimizes the scenario-average outage.
 
-    Starts from uniform random colors, then repeatedly re-colors nodes in
-    descending-degree order, setting each to the smallest color attaining
-    the minimum objective.  The palette is decoded once; each node's
+    Starts from :func:`random_allocate`'s colors, then repeatedly re-colors
+    nodes in descending-degree order, setting each to the smallest color
+    attaining the minimum objective.  The palette is decoded once; each node's
     candidate colors are scored together by
     :meth:`GcOutageEngine.palette_outage`, whose scores equal a full
     :meth:`GcOutageEngine.outage_vector` of each re-colored allocation bit
@@ -194,15 +194,13 @@ def greedy_allocate(
         )
     num_resources = scenario.config.num_resources
     bound = _palette_bound(mode, num_resources, config)
-    rng = np.random.default_rng(config.init_seed)
-    colors = rng.integers(0, bound + 1, size=(scenario.num_cns, scenario.num_beams))
-    alloc = access.ResourceAllocation(mode, colors, num_resources)
+    alloc = random_allocate(scenario, mode, config.init_seed, config.color_bound)
     cache = engine.outage_vector(alloc)
     objective = float(cache.mean())
     trace = [objective]
     order = graph.sweep_order()
     palette = access.decode_holds(np.arange(bound + 1), mode, num_resources)
-    flat = colors.reshape(-1).copy()
+    flat = alloc.colors.reshape(-1).copy()
     holds = alloc.holds.copy()
 
     for _ in range(config.max_iterations):
@@ -221,7 +219,7 @@ def greedy_allocate(
         trace.append(objective)
         if trace[-2] - trace[-1] < config.improvement_threshold:
             break
-    final = access.ResourceAllocation(mode, flat.reshape(colors.shape), num_resources)
+    final = access.ResourceAllocation(mode, flat.reshape(alloc.colors.shape), num_resources)
     return GreedyResult(final, tuple(trace))
 
 

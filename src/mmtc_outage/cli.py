@@ -224,6 +224,12 @@ def _cmd_report(args) -> int:
                 f"allocation has {shape[0]} x {shape[1]} collector/beam tuples "
                 f"but the scenario has {scenario.num_cns} x {scenario.num_beams}"
             )
+        if (alloc.num_resources, alloc.mode) != (config.num_resources, args.mode):
+            raise ValueError(
+                f"allocation has num_resources={alloc.num_resources} in {alloc.mode} "
+                f"mode, but the config has num_resources={config.num_resources} "
+                f"and --mode is {args.mode}"
+            )
     elif args.strategy == "random":
         alloc = allocation.random_allocate(scenario, args.mode, config.seed)
     else:

@@ -13,6 +13,9 @@ full-objective evaluation costs microseconds per sensor (this is what the
 greedy allocator iterates), and :func:`batch_cf_outage` shares the other
 tuples' characteristic-function factor products across all sensors detected
 at one collector/beam tuple, times leave-one-out products of its own factors.
+Both batched routes decide each (sensor, resource) pair's edge cases with one
+rule (:func:`_pair_edges`) before any law is built, so the CF route inverts
+only the pairs whose law decides the outcome.
 """
 
 from __future__ import annotations
@@ -295,6 +298,16 @@ def monte_carlo_outage(
 # batched series evaluation
 
 
+def _pair_edges(thresholds, supports, members) -> tuple[np.ndarray, np.ndarray]:
+    """(values, live) for (sensor, resource) pairs under :func:`outage_single`'s
+    edge conventions: values is 1 on negative headroom and 0 elsewhere, and
+    ``live`` marks the pairs whose interference law decides the outcome (an
+    interferer, and a headroom in [0, support))."""
+    neg = thresholds < 0.0
+    live = ~neg & (members > 0) & (thresholds < supports)
+    return np.where(neg, 1.0, 0.0), live
+
+
 def _batched_series_tail(
     kappa: np.ndarray,
     thresholds: np.ndarray,
@@ -478,25 +491,21 @@ class GcOutageEngine:
         :func:`outage_single`'s conventions: 1 on negative headroom; 0 with
         no interferer or with headroom at or above the support; a step at
         the mean on zero variance; else the series tail."""
-        values = np.zeros(kappa.shape[0])
-        neg = thresholds < 0.0
-        values[neg] = 1.0
-        live = ~neg & (members > 0) & (thresholds < supports)
-        if live.any():
-            variance = kappa[:, 1]
-            deterministic = live & (variance <= 0.0)
-            if deterministic.any():
-                values[deterministic] = np.where(
-                    kappa[deterministic, 0] > thresholds[deterministic], 1.0, 0.0
-                )
-            series = live & (variance > 0.0)
-            if series.any():
-                values[series] = _batched_series_tail(
-                    kappa[series],
-                    thresholds[series],
-                    supports[series],
-                    self.order,
-                )
+        values, live = _pair_edges(thresholds, supports, members)
+        variance = kappa[:, 1]
+        deterministic = live & (variance <= 0.0)
+        if deterministic.any():
+            values[deterministic] = np.where(
+                kappa[deterministic, 0] > thresholds[deterministic], 1.0, 0.0
+            )
+        series = live & (variance > 0.0)
+        if series.any():
+            values[series] = _batched_series_tail(
+                kappa[series],
+                thresholds[series],
+                supports[series],
+                self.order,
+            )
         return values
 
 
@@ -506,48 +515,43 @@ class GcOutageEngine:
 _POOL_DROP_TOL = 1e-9  # weight-sum fraction of negligible terms to drop
 
 
-def _pool_requests(
-    alloc: ResourceAllocation, scenario: Scenario, sensors: np.ndarray | None = None
-) -> dict[int, list[tuple[int, int]]]:
-    """Group (sensor, held resource) requests of the given sensors (all when
-    None) by destination tuple, in tuple, sensor, resource order."""
+def _held_pairs(alloc: ResourceAllocation, scenario: Scenario, sensors=None):
+    """(sensor, resource) arrays of every held pair of the given sensors (all
+    when None), in destination tuple, sensor, resource order."""
     det = scenario.det_node
     ids = np.arange(det.size) if sensors is None else np.unique(sensors)
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for i in ids[np.argsort(det[ids], kind="stable")].tolist():
-        for col in np.flatnonzero(alloc.holds[det[i]]).tolist():
-            groups.setdefault(int(det[i]), []).append((i, col + 1))
-    return groups
+    ids = ids[np.argsort(det[ids], kind="stable")]
+    rows, cols = np.nonzero(alloc.holds[det[ids]])
+    return ids[rows], cols + 1
 
 
-def _pooled_pass(
+def _pooled_laws(
     alloc: ResourceAllocation,
     scenario: Scenario,
     grid_points: int,
-    consume,
-    sensors: np.ndarray | None = None,
-) -> None:
-    """Shared-grid CF inversion for every (sensor, held resource) pair.
+    sensors: np.ndarray,
+    resources: np.ndarray,
+):
+    """Yield (k, law): the shared-grid CF law of pair (sensors[k], resources[k]).
 
     Per destination tuple, the factors of every other tuple holding resource
-    t are pooled once into ``others[t]``; a sensor's spectrum is that times
-    the leave-one-out product of its own tuple's factors (prefix and suffix
-    products), so nothing is divided out, even where an own factor vanishes
-    (p_eff = 0.5).  ``consume(sensor, resource, distribution)`` is called
-    for every pair of the given ``sensors`` (all when None), and only their
-    destination tuples are pooled; sensors on switched-off tuples are never
-    passed.  Terms contributing less than ``_POOL_DROP_TOL`` of a destination's
-    total weight are dropped from the pool.
+    t are pooled once into ``others[t]``, for the resources that tuple's
+    pairs need; a sensor's spectrum is that times the leave-one-out product
+    of its own tuple's factors (prefix and suffix products), so nothing is
+    divided out, even where an own factor vanishes (p_eff = 0.5).  Terms
+    contributing less than ``_POOL_DROP_TOL`` of a destination's total
+    weight are dropped from the pool.  ``grid_points`` is checked before the
+    first yield, whether or not any pair is given.
     """
     q_pts = int(grid_points)
     if q_pts < 64 or q_pts & (q_pts - 1):
         raise ValueError(f"grid_points must be a power of two >= 64, got {grid_points}")
     det = scenario.det_node
     p_eff = effective_probabilities(alloc, scenario)
-    groups = _pool_requests(alloc, scenario, sensors)
-    fine = _GRID_OVERSAMPLE * q_pts
+    dests = det[sensors]
 
-    for dest, requests in groups.items():
+    for dest in np.unique(dests):
+        pairs = np.flatnonzero(dests == dest)
         row = scenario.powers_at[dest]
         elig_ids = np.flatnonzero((p_eff > 0.0) & (row > 0.0))
         elig_ids = elig_ids[np.argsort(row[elig_ids])]
@@ -557,9 +561,9 @@ def _pooled_pass(
         kept[kept_ids] = True
         kept_total = float(row[kept_ids].sum())
         upper = (kept_total if kept_total > 0.0 else 1.0) * (1.0 + 1.0 / q_pts)
-        freqs, taper = _cf_spectrum_grid(upper, fine)
+        freqs, taper = _cf_spectrum_grid(upper, _GRID_OVERSAMPLE * q_pts)
 
-        needed = sorted({t for _, t in requests})
+        needed = np.unique(resources[pairs]).tolist()
         others = {t: np.ones(freqs.size, dtype=complex) for t in needed}
         factor = np.empty(freqs.size, dtype=complex)
         for node in np.unique(det[kept]):
@@ -584,9 +588,9 @@ def _pooled_pass(
             suffix *= _bernoulli_factor(p_eff[own[k]], row[own[k]], freqs, factor)
         slot = dict(zip(own.tolist(), range(own.size)))
 
-        for i, t in requests:
-            phi = others[t] * loo[slot.get(i, -1)] * taper
-            consume(i, t, _invert_spectrum(phi, q_pts, upper))
+        for k in pairs.tolist():
+            phi = others[int(resources[k])] * loo[slot.get(int(sensors[k]), -1)] * taper
+            yield k, _invert_spectrum(phi, q_pts, upper)
 
 
 def batch_cf_outage(
@@ -596,46 +600,35 @@ def batch_cf_outage(
 ) -> np.ndarray:
     """Per-sensor CF-method outage, factor-pooled per destination tuple.
 
-    Spectra are leave-one-out factor products (:func:`_pooled_pass`), exact
+    Every held (sensor, resource) pair's edge is decided first, from exact
+    pool supports and member counts (:func:`_pair_edges`, the conventions of
+    :func:`outage_single`); only the pairs left live are inverted.  Their
+    spectra are leave-one-out factor products (:func:`_pooled_laws`), exact
     at every activity; sensors detected at one tuple share a grid sized to
     its pooled support, and a tail is read off that grid's coarse bins.  The
     bin-level reading is not bounded by one cell's mass: on desk.cfg's
     random allocations the default 4096 points differ from a 2^15-point
     pass by up to 0.044 (single mode) and 0.025 (multiple mode), for
     sensors whose headroom sits a few cells above zero (ROADMAP item 2).
-    Edge conventions are identical to :func:`outage_single`.
     """
     det = scenario.det_node
-    thresholds = interference_headroom(scenario)
-    p_eff = effective_probabilities(alloc, scenario)
-    sizes = alloc.set_sizes[det]
-    out = np.ones(scenario.num_sensors)
-
-    shares = np.zeros(scenario.num_sensors)
-    held = sizes > 0
-    shares[held] = 1.0 / sizes[held]
-    accum = np.zeros(scenario.num_sensors)
+    sensors, resources = _held_pairs(alloc, scenario)
+    nodes, cols = det[sensors], resources - 1
+    thresholds = interference_headroom(scenario)[sensors]
     # exact per-resource pool sums for the support edge (no drop tolerance)
-    relevant = {}
-
-    def consume(i: int, t: int, dist: DiscretizedDistribution) -> None:
-        if t not in relevant:
-            relevant[t] = resource_mask(alloc, scenario, t) & (p_eff > 0.0)
-        if thresholds[i] < 0.0:
-            accum[i] += shares[i]
-            return
-        mask = relevant[t]
-        support = float(scenario.powers_at[det[i]][mask].sum())
-        if mask[i]:
-            support -= float(scenario.powers_at[det[i], i])
-        live = int(np.count_nonzero(mask)) - (1 if mask[i] else 0)
-        if live == 0 or thresholds[i] >= support:
-            return
-        accum[i] += shares[i] * float(dist.tail(thresholds[i]))
-
-    _pooled_pass(alloc, scenario, grid_points, consume)
-    out[held] = accum[held]
-    return out
+    relevant = alloc.holds[det].T & (effective_probabilities(alloc, scenario) > 0.0)
+    own = relevant[cols, sensors]
+    supports = (scenario.powers_at @ relevant.T)[nodes, cols]
+    supports -= np.where(own, scenario.powers_at[nodes, sensors], 0.0)
+    members = relevant.sum(axis=1)[cols] - own
+    values, decides = _pair_edges(thresholds, supports, members)
+    live = np.flatnonzero(decides)
+    laws = _pooled_laws(alloc, scenario, grid_points, sensors[live], resources[live])
+    for k, law in laws:
+        values[live[k]] = law.tail(thresholds[live[k]])
+    accum = np.zeros(scenario.num_sensors)
+    np.add.at(accum, sensors, values * (1.0 / alloc.set_sizes[nodes]))
+    return np.where(alloc.set_sizes[det] > 0, accum, 1.0)
 
 
 def pooled_cf_densities(
@@ -647,16 +640,15 @@ def pooled_cf_densities(
     """Gridded interference laws for (sensor, resource) pairs, factor-pooled.
 
     Returns every held pair for the requested sensors (all sensors when
-    None).  Each distribution spans [0, pooled support] of its destination
+    None), edge-decided or not: unlike :func:`batch_cf_outage`, no pair is
+    skipped.  Each distribution spans [0, pooled support] of its destination
     tuple, so all sensors detected at one tuple share a comparable grid.
     """
-    results: dict[tuple[int, int], DiscretizedDistribution] = {}
-
-    def consume(i: int, t: int, dist: DiscretizedDistribution) -> None:
-        results[(i, t)] = dist
-
-    _pooled_pass(alloc, scenario, grid_points, consume, sensors=sensors)
-    return results
+    ids, resources = _held_pairs(alloc, scenario, sensors)
+    return {
+        (int(ids[k]), int(resources[k])): law
+        for k, law in _pooled_laws(alloc, scenario, grid_points, ids, resources)
+    }
 
 
 # ---------------------------------------------------------------------------

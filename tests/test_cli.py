@@ -190,6 +190,33 @@ def test_report_allocation_of_other_shape_exits_1(tmp_path, cfg_file, capsys):
     assert "4 x 1" in err and "2 x 2" in err
 
 
+def test_report_allocation_of_other_resource_count_exits_1(tmp_path, cfg_file, capsys):
+    # the tiny config has num_resources=2; the file was written under 6
+    six = access.ResourceAllocation("single", np.array([[1, 6], [3, 0]]), 6)
+    access.write_allocation_csv(six, tmp_path / "six.csv")
+    code = run(
+        "report", "--config", cfg_file, "--out", tmp_path,
+        "--allocation", tmp_path / "six.csv",
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "num_resources=6" in err and "num_resources=2" in err
+    assert not (tmp_path / "outage.csv").exists()
+
+
+def test_report_allocation_of_other_mode_exits_1(tmp_path, cfg_file, capsys):
+    single = access.ResourceAllocation("single", np.array([[1, 2], [2, 1]]), 2)
+    access.write_allocation_csv(single, tmp_path / "single.csv")
+    code = run(
+        "report", "--config", cfg_file, "--out", tmp_path, "--mode", "multiple",
+        "--allocation", tmp_path / "single.csv",
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "single mode" in err and "--mode is multiple" in err
+    assert not (tmp_path / "outage.csv").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -641,6 +641,112 @@ def test_all_off_allocation_is_total_outage():
     assert np.all(outage.GcOutageEngine(s).outage_vector(alloc) == 1.0)
     report = outage.average_outage(alloc, s, outage.MonteCarloMethod(10, seed=0))
     assert report.average == 1.0 and report.maximum == 1.0
+    # no pair is live, but the grid is still checked
+    with pytest.raises(ValueError, match="power of two"):
+        outage.batch_cf_outage(alloc, s, grid_points=100)
+
+
+def random_alloc(s, mode, seed):
+    bound = access.color_bound(mode, s.config.num_resources)
+    colors = np.random.default_rng(seed).integers(0, bound + 1, size=(s.num_cns, s.num_beams))
+    return access.ResourceAllocation(mode, colors, s.config.num_resources)
+
+
+def pair_edge(alloc, s, i, t):
+    """outage_single's edge value of pair (i, t), or None when its law decides."""
+    thr = outage.interference_headroom(s)[i]
+    if thr < 0.0:
+        return 1.0
+    weights, _ = outage.interference_terms(alloc, s, i, t)
+    if weights.size == 0 or thr >= weights.sum():
+        return 0.0
+    return None
+
+
+def held(alloc, s, i):
+    return (np.flatnonzero(alloc.holds[s.det_node[i]]) + 1).tolist()
+
+
+@pytest.mark.parametrize("mode", ["single", "multiple"])
+@pytest.mark.parametrize(
+    "overrides",
+    [dict(activity=0.0), dict(activity=0.1), dict(activity=0.5), dict(activity=1.0),
+     dict(tx_power=0.0)],
+    ids=["p0", "p0.1", "p0.5", "p1", "tx0"],
+)
+def test_batch_cf_equals_per_pair_reading_of_the_pooled_laws(mode, overrides):
+    s = toy(**overrides)
+    alloc = random_alloc(s, mode, 31)
+    grid = 1 << 9
+    dists = outage.pooled_cf_densities(alloc, s, grid)
+    thresholds = outage.interference_headroom(s)
+    expected = np.ones(s.num_sensors)
+    for i in range(s.num_sensors):
+        resources = held(alloc, s, i)
+        if not resources:
+            continue
+        total = 0.0
+        for t in resources:
+            value = pair_edge(alloc, s, i, t)
+            if value is None:
+                value = dists[(i, t)].tail(thresholds[i])
+            total += value * (1.0 / len(resources))
+        expected[i] = total
+    assert np.array_equal(outage.batch_cf_outage(alloc, s, grid), expected)
+
+
+@pytest.mark.parametrize("mode", ["single", "multiple"])
+def test_batch_cf_inverts_only_the_live_pairs(mode, monkeypatch):
+    s = toy(num_sensors=30)
+    alloc = random_alloc(s, mode, 4)
+    pairs = [(i, t) for i in range(s.num_sensors) for t in held(alloc, s, i)]
+    live = sum(pair_edge(alloc, s, i, t) is None for i, t in pairs)
+    assert 0 < live < len(pairs)
+    calls = []
+    inner = outage._invert_spectrum
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(outage, "_invert_spectrum", counted)
+    outage.batch_cf_outage(alloc, s, 1 << 8)
+    assert len(calls) == live
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    num_sensors=st.integers(1, 14),
+    num_cns=st.integers(1, 4),
+    beams=st.integers(1, 3),
+    num_resources=st.integers(1, 3),
+    activity=st.sampled_from([0.0, 0.12, 1.0]),
+    tx_power=st.sampled_from([0.0, 0.1]),
+    mode=st.sampled_from(["single", "multiple"]),
+    seed=st.integers(0, 2**16),
+)
+def test_edge_decided_sensors_agree_exactly_across_routes(
+    num_sensors, num_cns, beams, num_resources, activity, tx_power, mode, seed
+):
+    # fewer sensors than collectors, one beam, R = 1, activity 0 and 1, and
+    # tx_power 0: a sensor none of whose held pairs needs a law reads the
+    # same exact 0 or 1 from every analytic route
+    s = toy(
+        num_sensors=num_sensors, num_cns=num_cns, beams=beams,
+        num_resources=num_resources, activity=activity, tx_power=tx_power, seed=seed,
+    )
+    alloc = random_alloc(s, mode, seed)
+    engine = outage.GcOutageEngine(s, 5).outage_vector(alloc)
+    batch = outage.batch_cf_outage(alloc, s, 1 << 8)
+    for i in range(s.num_sensors):
+        edges = {pair_edge(alloc, s, i, t) for t in held(alloc, s, i)}
+        if None in edges:
+            continue
+        expected = 1.0 if not edges else edges.pop()
+        assert not edges  # one headroom per sensor: all 1 or all 0
+        assert engine[i] == batch[i] == expected
+        assert outage.outage_multi(alloc, s, i, GC5) == expected
+        assert outage.outage_multi(alloc, s, i, CF) == expected
 
 
 # ---------------------------------------------------------------------------
