@@ -8,7 +8,6 @@ from .access import (
     decode_holds,
     effective_probabilities,
     read_allocation_csv,
-    resource_mask,
     write_allocation_csv,
 )
 from .allocation import (

@@ -1,4 +1,4 @@
-"""Resource-identifier coding, per-resource masks, and effective activity.
+"""Resource-identifier coding, decoded incidence, and effective activity.
 
 Each collector/beam tuple owns a set of orthogonal uplink resources.  In
 single-resource mode a tuple's color *is* its resource id (0 = switched
@@ -29,7 +29,6 @@ __all__ = [
     "ResourceAllocation",
     "color_bound",
     "decode_holds",
-    "resource_mask",
     "effective_probabilities",
     "write_allocation_csv",
     "read_allocation_csv",
@@ -106,17 +105,6 @@ class ResourceAllocation:
     @property
     def num_tuples(self) -> int:
         return self.colors.size
-
-
-def resource_mask(
-    alloc: ResourceAllocation, scenario: Scenario, resource: int
-) -> np.ndarray:
-    """Boolean (M,) mask: does sensor j's detection tuple hold ``resource``?"""
-    if not 1 <= resource <= alloc.num_resources:
-        raise ValueError(
-            f"resource ids run 1..{alloc.num_resources}, got {resource}"
-        )
-    return alloc.holds[scenario.det_node, resource - 1]
 
 
 def effective_probabilities(

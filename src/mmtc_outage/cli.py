@@ -134,15 +134,6 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _method_for(args, config: ScenarioConfig) -> outage.OutageMethod:
-    method = outage.parse_method(args.method)
-    if isinstance(method, outage.CharFnMethod):
-        return outage.CharFnMethod(args.grid_points)
-    if isinstance(method, outage.MonteCarloMethod):
-        return outage.MonteCarloMethod(draws=args.draws, seed=config.seed)
-    return method
-
-
 def _parse_values(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split(",") if v.strip())
 
@@ -236,7 +227,8 @@ def _cmd_report(args) -> int:
         alloc = allocation.greedy_allocate(
             scenario, args.mode, allocation.GreedyConfig(init_seed=config.seed)
         ).allocation
-    report = outage.average_outage(alloc, scenario, _method_for(args, config))
+    method = outage.parse_method(args.method, args.grid_points, args.draws, config.seed)
+    report = outage.average_outage(alloc, scenario, method)
     outage.write_outage_csv(
         report,
         _out_dir(args) / "outage.csv",

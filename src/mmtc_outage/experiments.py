@@ -236,48 +236,43 @@ def _series_divergence(scenario, alloc, orders, grid_points) -> dict[int, float]
     return {order: total / scenario.num_sensors for order, total in sums.items()}
 
 
+def _sweep_points(spec: ExperimentSpec, vary: str):
+    """Yield (point, value, config): ``vary`` set to each sweep value, cast
+    as the config field takes it (and as the CSV's sweep_value column shows)."""
+    cast = int if vary == "num_sensors" else float
+    for point, value in enumerate(spec.sweep):
+        yield point, cast(value), replace(spec.config, **{vary: cast(value)})
+
+
 def _error_sweep(spec: ExperimentSpec, vary: str) -> ExperimentResult:
     rows = []
-    for point, value in enumerate(spec.sweep):
+    for point, value, cfg in _sweep_points(spec, vary):
         totals = {order: 0.0 for order in spec.orders}
         for rep in range(spec.reps):
             scenario_seed = _derived_entropy(spec.seed, point, rep)[0]
-            if vary == "num_sensors":
-                cfg = replace(spec.config, num_sensors=int(value), seed=scenario_seed)
-            else:
-                cfg = replace(spec.config, activity=float(value), seed=scenario_seed)
-            scenario = generate_scenario(cfg)
+            scenario = generate_scenario(replace(cfg, seed=scenario_seed))
             eps = _series_divergence(
                 scenario, full_reuse_allocation(scenario), spec.orders, spec.grid_points
             )
             for order in spec.orders:
                 totals[order] += eps[order]
         for order in spec.orders:
-            sweep_value = int(value) if vary == "num_sensors" else float(value)
-            rows.append((sweep_value, order, totals[order] / spec.reps))
+            rows.append((value, order, totals[order] / spec.reps))
     return ExperimentResult(
         spec.summary(), ("sweep_value", "order", "epsilon"), tuple(rows)
     )
 
 
 def _outage_report(spec: ExperimentSpec, alloc, scenario, mc_seed: int) -> np.ndarray:
-    method = outage.parse_method(spec.method)
-    if isinstance(method, outage.CharFnMethod):
-        method = outage.CharFnMethod(spec.grid_points)
-    elif isinstance(method, outage.MonteCarloMethod):
-        method = outage.MonteCarloMethod(seed=mc_seed)
+    method = outage.parse_method(spec.method, spec.grid_points, seed=mc_seed)
     return outage.average_outage(alloc, scenario, method).per_sensor
 
 
 def _allocations_for(spec: ExperimentSpec, cfg: ScenarioConfig, point: int, rep: int):
     scenario_seed, alloc_seed, mc_seed = _derived_entropy(spec.seed, point, rep)
     scenario = generate_scenario(replace(cfg, seed=scenario_seed))
-    engine = outage.GcOutageEngine(scenario)
     greedy = allocation.greedy_allocate(
-        scenario,
-        spec.mode,
-        allocation.GreedyConfig(init_seed=alloc_seed),
-        engine=engine,
+        scenario, spec.mode, allocation.GreedyConfig(init_seed=alloc_seed)
     ).allocation
     baseline = allocation.random_allocate(scenario, spec.mode, alloc_seed)
     return scenario, greedy, baseline, mc_seed
@@ -285,22 +280,15 @@ def _allocations_for(spec: ExperimentSpec, cfg: ScenarioConfig, point: int, rep:
 
 def _outage_sweep(spec: ExperimentSpec, vary: str) -> ExperimentResult:
     rows = []
-    for point, value in enumerate(spec.sweep):
-        if vary == "num_sensors":
-            cfg = replace(spec.config, num_sensors=int(value))
-        else:
-            cfg = replace(spec.config, activity=float(value))
+    for point, value, cfg in _sweep_points(spec, vary):
         averages = {"greedy": 0.0, "random": 0.0}
         for rep in range(spec.reps):
             scenario, greedy, baseline, mc_seed = _allocations_for(spec, cfg, point, rep)
             for strategy, alloc in (("greedy", greedy), ("random", baseline)):
                 report = _outage_report(spec, alloc, scenario, mc_seed)
                 averages[strategy] += float(report.mean())
-        sweep_value = int(value) if vary == "num_sensors" else float(value)
         for strategy in ("greedy", "random"):
-            rows.append(
-                (sweep_value, strategy, spec.mode, averages[strategy] / spec.reps)
-            )
+            rows.append((value, strategy, spec.mode, averages[strategy] / spec.reps))
     return ExperimentResult(
         spec.summary(),
         ("sweep_value", "strategy", "mode", "avg_pout"),

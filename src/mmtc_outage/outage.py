@@ -27,11 +27,7 @@ from typing import Union
 
 import numpy as np
 
-from .access import (
-    ResourceAllocation,
-    effective_probabilities,
-    resource_mask,
-)
+from .access import ResourceAllocation, effective_probabilities
 from .scenario import Scenario
 from .stats_core import (
     _GRID_OVERSAMPLE,
@@ -113,13 +109,21 @@ class MonteCarloMethod:
 OutageMethod = Union[GramCharlierMethod, CharFnMethod, MonteCarloMethod]
 
 
-def parse_method(text: str) -> OutageMethod:
-    """Method from a CLI-style name: gc0..gc5 (or gc = gc5), cf, mc."""
+def parse_method(
+    text: str, grid_points: int = 1 << 16, draws: int = 100_000, seed: int = 0
+) -> OutageMethod:
+    """Method from a CLI-style name: gc0..gc5 (or gc = gc5), cf, mc.
+
+    This is the one place a name becomes a method: ``grid_points`` goes to
+    cf and ``draws`` and ``seed`` to mc, and the series ignore all three.
+    The defaults are the method classes' own, so ``parse_method("cf") ==
+    CharFnMethod()``.
+    """
     name = text.strip().lower()
     if name == "cf":
-        return CharFnMethod()
+        return CharFnMethod(grid_points)
     if name == "mc":
-        return MonteCarloMethod()
+        return MonteCarloMethod(draws, seed)
     if name == "gc":
         return GramCharlierMethod(5)
     if len(name) == 3 and name.startswith("gc") and name[2].isdigit():
@@ -153,7 +157,11 @@ def interference_terms(
     Weights are received powers at the reference sensor's detector; zero
     weights and zero effective probabilities are dropped.
     """
-    mask = resource_mask(alloc, scenario, resource).copy()
+    if not 1 <= resource <= alloc.num_resources:
+        raise ValueError(
+            f"resource ids run 1..{alloc.num_resources}, got {resource}"
+        )
+    mask = alloc.holds[scenario.det_node, resource - 1]
     mask[sensor_index] = False
     weights = scenario.powers_at[scenario.det_node[sensor_index]][mask]
     probs = effective_probabilities(alloc, scenario)[mask]
@@ -435,24 +443,22 @@ class GcOutageEngine:
         held = sizes > 0
         p_eff[held] = self.activity / sizes[held]
         cvals = _bernoulli_cumulants(p_eff, self.depth)  # (C, D, depth)
-        # (C, R+1, D) with row t for resource t, row 0 empty
-        table = np.zeros((num_cands, num_resources + 1, num_tuples), dtype=bool)
-        table[:, 1:, :] = holds.transpose(0, 2, 1)
-        # Per-source (cumulant, support) terms for every (resource t, dest d):
+        table = holds.transpose(0, 2, 1)  # (C, R, D), row t for column t
+        # Per-source (cumulant, support) terms for every (column t, dest d):
         # rows e < D from candidate 0, which shares all rows but ``node``'s;
         # row D + k is ``node`` holding t among ``states[k]`` resources (0: not).
         states = np.union1d(0, sizes[:, node])
         state_p = np.where(states > 0, self.activity / np.maximum(states, 1), 0.0)
         cv = np.concatenate([cvals[0], _bernoulli_cumulants(state_p, self.depth)])
         src = self.pooled.transpose(1, 0, 2)[np.r_[:num_tuples, [node] * states.size]]
-        mask = np.concatenate([table[0].T, np.repeat(states[:, None] > 0, num_resources + 1, 1)])
+        mask = np.concatenate([holds[0], np.repeat(states[:, None] > 0, num_resources, 1)])
         q = np.concatenate([cv[:, None, :] * src, src[:, :, :1]], axis=2)
         terms = mask[:, :, None, None].astype(float) * q[:, None]  # (source, t, d, depth + 1)
         # ascending source order: shared prefix, node term per state, suffix
         sums = np.add.reduce(terms[:node], axis=0, initial=0.0) + terms[num_tuples:]
         for term in terms[node + 1 : num_tuples]:
             sums += term
-        counts = table @ self.tuple_counts  # (C, R+1) members per resource
+        counts = table @ self.tuple_counts  # (C, R) members per resource
 
         pair_cand, pair_sensor, pair_col = np.nonzero(
             holds[:, det, :] & affected[:, :, None]
@@ -469,7 +475,7 @@ class GcOutageEngine:
         values = np.empty(first.size)
         for lo in range(0, first.size, _PAIR_CHUNK_ROWS):
             rows = first[lo : lo + _PAIR_CHUNK_ROWS]
-            c, i, t = pair_cand[rows], pair_sensor[rows], pair_col[rows] + 1
+            c, i, t = pair_cand[rows], pair_sensor[rows], pair_col[rows]
             d, s = det[i], np.searchsorted(states, node_state[rows])
             kappa = sums[s, t, d, :-1] - cvals[c, d] * self.self_powers[i]
             supports = sums[s, t, d, -1] - self.self_powers[i, 0]
@@ -512,9 +518,6 @@ class GcOutageEngine:
 # ---------------------------------------------------------------------------
 # batched characteristic-function evaluation
 
-_POOL_DROP_TOL = 1e-9  # weight-sum fraction of negligible terms to drop
-
-
 def _held_pairs(alloc: ResourceAllocation, scenario: Scenario, sensors=None):
     """(sensor, resource) arrays of every held pair of the given sensors (all
     when None), in destination tuple, sensor, resource order."""
@@ -538,9 +541,9 @@ def _pooled_laws(
     t are pooled once into ``others[t]``, for the resources that tuple's
     pairs need; a sensor's spectrum is that times the leave-one-out product
     of its own tuple's factors (prefix and suffix products), so nothing is
-    divided out, even where an own factor vanishes (p_eff = 0.5).  Terms
-    contributing less than ``_POOL_DROP_TOL`` of a destination's total
-    weight are dropped from the pool.  ``grid_points`` is checked before the
+    divided out, even where an own factor vanishes (p_eff = 0.5).  Every
+    term with a positive weight and probability is pooled, and the grid
+    spans their whole weight sum.  ``grid_points`` is checked before the
     first yield, whether or not any pair is given.
     """
     q_pts = int(grid_points)
@@ -553,13 +556,8 @@ def _pooled_laws(
     for dest in np.unique(dests):
         pairs = np.flatnonzero(dests == dest)
         row = scenario.powers_at[dest]
-        elig_ids = np.flatnonzero((p_eff > 0.0) & (row > 0.0))
-        elig_ids = elig_ids[np.argsort(row[elig_ids])]
-        cum = np.cumsum(row[elig_ids])
-        kept_ids = elig_ids[cum > _POOL_DROP_TOL * cum[-1]] if cum.size else elig_ids
-        kept = np.zeros(scenario.num_sensors, dtype=bool)
-        kept[kept_ids] = True
-        kept_total = float(row[kept_ids].sum())
+        kept = (p_eff > 0.0) & (row > 0.0)
+        kept_total = float(row[kept].sum())
         upper = (kept_total if kept_total > 0.0 else 1.0) * (1.0 + 1.0 / q_pts)
         freqs, taper = _cf_spectrum_grid(upper, _GRID_OVERSAMPLE * q_pts)
 
@@ -615,7 +613,7 @@ def batch_cf_outage(
     sensors, resources = _held_pairs(alloc, scenario)
     nodes, cols = det[sensors], resources - 1
     thresholds = interference_headroom(scenario)[sensors]
-    # exact per-resource pool sums for the support edge (no drop tolerance)
+    # exact per-resource pool sums for the support edge
     relevant = alloc.holds[det].T & (effective_probabilities(alloc, scenario) > 0.0)
     own = relevant[cols, sensors]
     supports = (scenario.powers_at @ relevant.T)[nodes, cols]

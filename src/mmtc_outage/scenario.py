@@ -116,7 +116,6 @@ class Scenario:
     home_cn: np.ndarray  # (M,) int
     activities: np.ndarray  # (M,) float
     powers_at: np.ndarray  # (D, M) watts, D = K * L
-    filter_gains: np.ndarray  # (D,) squared filter norms
     det_node: np.ndarray  # (M,) int, flattened detection tuple
     own_power: np.ndarray  # (M,) watts
     noise_power: np.ndarray  # (M,) watts
@@ -157,7 +156,8 @@ def steering_vector(angle: float, num_antennas: int) -> np.ndarray:
     """Unit-modulus steering vector of a half-wavelength-radius circular array.
 
     Antenna ``n`` sits at azimuth ``2*pi*n/N`` on the circle; entry ``n`` has
-    phase ``pi * cos(angle - 2*pi*n/N)``.
+    phase ``pi * cos(angle - 2*pi*n/N)``.  An (M, 1) array of angles gives
+    one vector per row.
     """
     slots = 2.0 * math.pi * np.arange(num_antennas) / num_antennas
     return np.exp(1j * math.pi * np.cos(angle - slots))
@@ -190,9 +190,7 @@ def _channels_for_cn(
     np.maximum(dist, config.min_distance, out=dist)
     theta = np.arctan2(delta[:, 1], delta[:, 0])
     amp = config.wavelength / (4.0 * math.pi * dist)
-    slots = 2.0 * math.pi * np.arange(config.antennas) / config.antennas
-    phase = math.pi * np.cos(theta[:, None] - slots[None, :])
-    return amp[:, None] * np.exp(1j * phase)
+    return amp[:, None] * steering_vector(theta[:, None], config.antennas)
 
 
 def assemble_scenario(
@@ -251,7 +249,6 @@ def assemble_scenario(
         home_cn=home,
         activities=np.full(num_sensors, config.activity),
         powers_at=powers_at,
-        filter_gains=filter_gains,
         det_node=det_node,
         own_power=own_power,
         noise_power=noise,

@@ -9,7 +9,6 @@ from mmtc_outage.access import (
     decode_holds,
     effective_probabilities,
     read_allocation_csv,
-    resource_mask,
     write_allocation_csv,
 )
 from mmtc_outage.outage import interference_terms
@@ -125,7 +124,7 @@ def test_holds_agrees_with_sets_and_masks(toy_scenario, mode):
         assert alloc.set_sizes.tolist() == [len(ids) for ids in sets]
         for t in (1, 2, 3):
             expected = [t in sets[d] for d in toy_scenario.det_node]
-            assert resource_mask(alloc, toy_scenario, t).tolist() == expected
+            assert alloc.holds[toy_scenario.det_node, t - 1].tolist() == expected
     assert decode_holds(np.arange(bound + 1), mode, 3).tolist() == [
         [n in held_by_bits(c, mode, 3) for n in (1, 2, 3)] for c in range(bound + 1)
     ]
@@ -154,7 +153,7 @@ def test_full_reuse_interferes_with_everyone(toy_scenario):
     # every tuple on the same single resource: members = all j != i
     colors = np.ones((3, 2), dtype=int)
     alloc = alloc_for(toy_scenario, "single", colors)
-    assert resource_mask(alloc, toy_scenario, 1).all()
+    assert alloc.holds[toy_scenario.det_node, 0].all()
     weights, probs = interference_terms(alloc, toy_scenario, 5, 1)
     others = [j for j in range(24) if j != 5]
     assert weights.tolist() == positive_weights(toy_scenario, 5, others)
@@ -168,7 +167,7 @@ def test_lone_holder_has_empty_set(toy_scenario):
     colors[node] = 2
     alloc = alloc_for(toy_scenario, "single", colors.reshape(3, 2))
     on_node = np.flatnonzero(toy_scenario.det_node == node)
-    assert np.flatnonzero(resource_mask(alloc, toy_scenario, 2)).tolist() == on_node.tolist()
+    assert np.flatnonzero(alloc.holds[toy_scenario.det_node, 1]).tolist() == on_node.tolist()
     weights, _ = interference_terms(alloc, toy_scenario, 0, 2)
     assert weights.tolist() == positive_weights(toy_scenario, 0, on_node[on_node != 0])
 
@@ -179,7 +178,7 @@ def test_membership_matches_hand_enumeration(toy_scenario):
     for i in range(toy_scenario.num_sensors):
         for t in (1, 2, 3):
             expected = members_by_bits(toy_scenario, "multiple", colors, i, t)
-            mask = resource_mask(alloc, toy_scenario, t).copy()
+            mask = alloc.holds[toy_scenario.det_node, t - 1]
             mask[i] = False
             assert np.flatnonzero(mask).tolist() == expected
             if alloc.holds[toy_scenario.det_node[i], t - 1]:
@@ -193,17 +192,18 @@ def test_reuse_symmetry(toy_scenario):
     alloc = alloc_for(toy_scenario, "multiple", colors)
     det, powers = toy_scenario.det_node, toy_scenario.powers_at
     for t in (1, 2, 3):
-        on_t = np.nonzero(resource_mask(alloc, toy_scenario, t))[0][:4]
+        on_t = np.nonzero(alloc.holds[toy_scenario.det_node, t - 1])[0][:4]
         for i in on_t:
             for j in on_t[on_t != i]:
                 assert powers[det[j], i] in interference_terms(alloc, toy_scenario, j, t)[0]
                 assert powers[det[i], j] in interference_terms(alloc, toy_scenario, i, t)[0]
 
 
-def test_resource_mask_rejects_bad_id(toy_scenario):
+def test_interference_terms_rejects_bad_id(toy_scenario):
     alloc = alloc_for(toy_scenario, "single", np.ones((3, 2), dtype=int))
-    with pytest.raises(ValueError, match="resource ids"):
-        resource_mask(alloc, toy_scenario, 0)
+    for resource in (0, 4):  # R = 3
+        with pytest.raises(ValueError, match=rf"resource ids run 1\.\.3, got {resource}"):
+            interference_terms(alloc, toy_scenario, 0, resource)
 
 
 def test_single_mode_equals_singleton_multiple(toy_scenario):

@@ -47,6 +47,7 @@ def single_colors(s, fill=2):
     return np.full((s.num_cns, s.num_beams), fill, dtype=np.int64)
 
 
+DESK = scn.load_scenario_config(Path(__file__).resolve().parents[1] / "configs" / "desk.cfg")
 CF = outage.CharFnMethod(1 << 12)
 GC5 = outage.GramCharlierMethod(5)
 
@@ -62,6 +63,15 @@ def test_parse_method_names():
     for k in range(6):
         assert outage.parse_method(f"gc{k}") == outage.GramCharlierMethod(k)
     assert outage.parse_method(" GC3 ") == outage.GramCharlierMethod(3)
+
+
+def test_parse_method_passes_settings_through():
+    assert outage.parse_method("cf", grid_points=1 << 10) == outage.CharFnMethod(1 << 10)
+    assert outage.parse_method("mc", draws=500, seed=7) == outage.MonteCarloMethod(500, 7)
+    assert outage.parse_method("gc3", 1 << 10, 500, 7) == outage.GramCharlierMethod(3)
+    # the defaults are the method classes' own
+    assert outage.parse_method("cf").grid_points == 1 << 16
+    assert outage.parse_method("mc") == outage.MonteCarloMethod(100_000, 0)
 
 
 @pytest.mark.parametrize("bad", ["gc6", "gc-1", "fft", "", "montecarlo"])
@@ -564,6 +574,20 @@ def test_pooled_densities_share_their_destination_grid():
             assert fine[(i, 1)].tail(thr * mult) == pytest.approx(
                 exact.tail(thr * mult), abs=2e-3
             )
+
+
+def test_pooled_grid_spans_every_eligible_term():
+    # at 60 desk sensors, tuple 5's pool has terms below 1e-9 of its weight
+    s = scn.generate_scenario(replace(DESK, num_sensors=60))
+    alloc = full_reuse(s)
+    row = s.powers_at[5]
+    eligible = np.sort(row[row > 0.0])
+    assert eligible[0] < 1e-9 * eligible.sum()
+    total = math.fsum(eligible)
+    q = 1 << 8
+    sensor = int(np.flatnonzero(s.det_node == 5)[0])
+    dist = outage.pooled_cf_densities(alloc, s, q, sensors=[sensor])[(sensor, 1)]
+    assert dist.upper == pytest.approx(total * (1.0 + 1.0 / q), rel=1e-14, abs=0.0)
 
 
 def test_pooled_densities_sensor_filter():
