@@ -237,8 +237,7 @@ def _series_divergence(scenario, alloc, orders, grid_points) -> dict[int, float]
 
 
 def _sweep_points(spec: ExperimentSpec, vary: str):
-    """Yield (point, value, config): ``vary`` set to each sweep value, cast
-    as the config field takes it (and as the CSV's sweep_value column shows)."""
+    """Yield (point, value, config), ``value`` cast to ``vary``'s field type."""
     cast = int if vary == "num_sensors" else float
     for point, value in enumerate(spec.sweep):
         yield point, cast(value), replace(spec.config, **{vary: cast(value)})

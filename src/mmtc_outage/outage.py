@@ -344,9 +344,12 @@ class GcOutageEngine:
     The interferer weights seen by a sensor depend only on its detection
     tuple, so the cumulant sums of every (destination, resource) pair can be
     assembled from a fixed (D, D, order) tensor of per-source-tuple power
-    sums.  One full objective evaluation then reduces to one ordered sum of
-    per-source-tuple terms plus a vectorized series tail over (sensor,
-    resource) pairs.
+    sums, zero on its diagonal.  A sensor's own tuple enters through
+    leave-one-out sums over its other members (prefix plus suffix, as in
+    the CF pass's leave-one-out products), so no term is subtracted back
+    out of a sum that a strong own power would dominate.  One full
+    objective evaluation then reduces to one ordered sum of per-source-tuple
+    terms plus a vectorized series tail over (sensor, resource) pairs.
 
     Both entry points run one kernel, :meth:`_outage`.  The greedy allocator
     iterates :meth:`palette_outage`, which scores every candidate color of
@@ -355,8 +358,10 @@ class GcOutageEngine:
     all candidates go through one series-tail evaluation (stats_core's
     coefficient and tail routines, shared with the scalar series), each
     distinct pair once, in chunks of at most ``_PAIR_CHUNK_ROWS`` rows.
-    :meth:`outage_vector` is the one-candidate case, and every sum runs over
-    the source tuples in ascending order, so palette scores equal full
+    :meth:`outage_vector` is the one-candidate case, every sum runs over
+    the source tuples in ascending order, and each row's series
+    coefficients are computed independently of the other rows in its call
+    (``collect_power_coefficients``), so palette scores equal full
     evaluations of the re-colored allocations bit for bit.
 
     Requires the uniform per-sensor activity produced by the scenario
@@ -381,13 +386,18 @@ class GcOutageEngine:
         num_tuples = scenario.num_tuples
         exponents = np.arange(1, self.depth + 1)
         self.pooled = np.zeros((num_tuples, num_tuples, self.depth))  # (dest, source, order)
-        self.self_powers = np.empty((det.size, self.depth))  # (M, depth)
+        self.own_others = np.empty((det.size, self.depth))  # (M, depth)
         for node in range(num_tuples):
             members = np.flatnonzero(det == node)
             # one tuple's (D, members, depth) block, summed member by member
             block = scenario.powers_at[:, members, None] ** exponents
             self.pooled[:, node, :] = block.sum(axis=1)
-            self.self_powers[members] = block[node]
+            # a tuple's own members enter as leave-one-out sums (prefix plus
+            # suffix), so no sensor's term is ever subtracted back out
+            own = np.pad(block[node], ((1, 1), (0, 0)))  # a zero row at each end
+            prefix = np.cumsum(own[:-2], axis=0)
+            self.own_others[members] = prefix + np.cumsum(own[:1:-1], axis=0)[::-1]
+        self.pooled[np.arange(num_tuples), np.arange(num_tuples)] = 0.0
         self.tuple_counts = np.bincount(det, minlength=num_tuples)
         self.thresholds = interference_headroom(scenario)
 
@@ -477,8 +487,8 @@ class GcOutageEngine:
             rows = first[lo : lo + _PAIR_CHUNK_ROWS]
             c, i, t = pair_cand[rows], pair_sensor[rows], pair_col[rows]
             d, s = det[i], np.searchsorted(states, node_state[rows])
-            kappa = sums[s, t, d, :-1] - cvals[c, d] * self.self_powers[i]
-            supports = sums[s, t, d, -1] - self.self_powers[i, 0]
+            kappa = sums[s, t, d, :-1] + cvals[c, d] * self.own_others[i]
+            supports = sums[s, t, d, -1] + self.own_others[i, 0]
             members = counts[c, t] - 1
             values[lo : lo + rows.size] = self._pair_values(
                 kappa, self.thresholds[i], supports, members

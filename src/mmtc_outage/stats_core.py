@@ -93,29 +93,26 @@ def bell_complete(n: int, args) -> float:
     return bell[n]
 
 
-# Coefficient of x^m in He_n, for n = 0..5 (row n, column m).
-_HERMITE_COEFFS = np.array(
-    [
-        [1, 0, 0, 0, 0, 0],
-        [0, 1, 0, 0, 0, 0],
-        [-1, 0, 1, 0, 0, 0],
-        [0, -3, 0, 1, 0, 0],
-        [3, 0, -6, 0, 1, 0],
-        [0, 15, 0, -10, 0, 1],
-    ],
-    dtype=float,
-)
-
-
 def collect_power_coefficients(coeffs) -> np.ndarray:
     """Collapse sum_n c_n He_n(x), n <= 5, into plain coefficients of x^0..x^5
-    (one row of coefficients along the last axis)."""
+    (one row of coefficients along the last axis).
+
+    He_2 = x^2 - 1, He_3 = x^3 - 3x, He_4 = x^4 - 6x^2 + 3 and He_5 = x^5 -
+    10x^3 + 15x, summed column by column: unlike a matrix product, whose
+    rounding can depend on how many rows share the call, each row's result
+    is the same whatever the batch."""
     c = np.asarray(coeffs, dtype=float)
     if c.ndim not in (1, 2) or c.shape[-1] > 6:
         raise ValueError("expected at most six series coefficients")
     if c.shape[-1] < 6:
         c = np.concatenate([c, np.zeros(c.shape[:-1] + (6 - c.shape[-1],))], axis=-1)
-    return c @ _HERMITE_COEFFS
+    b = c.T  # b[n]: the He_n coefficients
+    a = b.copy()  # He_n's x^n term
+    a[0] += 3.0 * b[4] - b[2]
+    a[1] += 15.0 * b[5] - 3.0 * b[3]
+    a[2] -= 6.0 * b[4]
+    a[3] -= 10.0 * b[5]
+    return a.T
 
 
 # ---------------------------------------------------------------------------

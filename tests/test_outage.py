@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mmtc_outage import access, outage
@@ -398,11 +398,16 @@ def test_engine_matches_scalar_multiple_mode():
     mode=st.sampled_from(["single", "multiple"]),
     seed=st.integers(0, 2**16),
 )
+@example(
+    num_sensors=9, num_cns=2, beams=3, num_resources=2, activity=1.0,
+    tx_power=0.1, mode="multiple", seed=113,
+)
 def test_engine_matches_scalar_series_on_small_scenarios(
     num_sensors, num_cns, beams, num_resources, activity, tx_power, mode, seed
 ):
     # covers fewer sensors than collectors, one beam, R = 1, activity 0, 0.5
-    # and 1, and tx_power 0 (negative headroom everywhere)
+    # and 1, and tx_power 0 (negative headroom everywhere); the example has
+    # a strong own term that a subtraction from the pooled sums would cancel
     s = toy(
         num_sensors=num_sensors, num_cns=num_cns, beams=beams,
         num_resources=num_resources, activity=activity, tx_power=tx_power, seed=seed,
@@ -443,12 +448,12 @@ def test_palette_scores_equal_full_recompute(mode, chunk_rows, monkeypatch):
                     assert np.array_equal(scores[color], expected)
 
 
-def assert_palette_equals_full_recompute(s, mode, nodes):
+def assert_palette_equals_full_recompute(s, mode, nodes, seed=5):
     """Every full-palette score of each node equals a from-scratch vector."""
     num_resources = s.config.num_resources
     full = access.color_bound(mode, num_resources)
     engine = outage.GcOutageEngine(s)
-    colors = np.random.default_rng(5).integers(0, full + 1, size=(s.num_cns, s.num_beams))
+    colors = np.random.default_rng(seed).integers(0, full + 1, size=(s.num_cns, s.num_beams))
     alloc = access.ResourceAllocation(mode, colors, num_resources)
     cache = engine.outage_vector(alloc)
     palette = access.decode_holds(np.arange(full + 1), mode, num_resources)
@@ -491,6 +496,32 @@ def test_palette_at_desk_tuple_count_equals_full_recompute():
     s = toy(num_sensors=120, num_cns=5, beams=4, num_resources=4, area_side=400.0)
     assert s.num_tuples >= 20
     assert_palette_equals_full_recompute(s, "multiple", range(s.num_tuples))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    num_sensors=st.integers(1, 14),
+    num_cns=st.integers(1, 3),
+    beams=st.integers(1, 3),
+    num_resources=st.integers(1, 3),
+    activity=st.sampled_from([0.0, 0.12, 0.5, 1.0]),
+    mode=st.sampled_from(["single", "multiple"]),
+    seed=st.integers(0, 2**16),
+)
+@example(
+    num_sensors=3, num_cns=1, beams=1, num_resources=2, activity=0.5,
+    mode="multiple", seed=35120,
+)
+def test_palette_rows_equal_full_recompute_on_small_scenarios(
+    num_sensors, num_cns, beams, num_resources, activity, mode, seed
+):
+    # a row's series coefficients must not depend on how many rows share
+    # the coefficient call, or palette and full scores part in the last bit
+    s = toy(
+        num_sensors=num_sensors, num_cns=num_cns, beams=beams,
+        num_resources=num_resources, activity=activity, seed=seed,
+    )
+    assert_palette_equals_full_recompute(s, mode, range(s.num_tuples), seed)
 
 
 def test_engine_requires_uniform_activity():
