@@ -392,8 +392,7 @@ class GcOutageEngine:
             # one tuple's (D, members, depth) block, summed member by member
             block = scenario.powers_at[:, members, None] ** exponents
             self.pooled[:, node, :] = block.sum(axis=1)
-            # a tuple's own members enter as leave-one-out sums (prefix plus
-            # suffix), so no sensor's term is ever subtracted back out
+            # leave-one-out sums over the other members: prefix plus suffix
             own = np.pad(block[node], ((1, 1), (0, 0)))  # a zero row at each end
             prefix = np.cumsum(own[:-2], axis=0)
             self.own_others[members] = prefix + np.cumsum(own[:1:-1], axis=0)[::-1]
@@ -453,7 +452,6 @@ class GcOutageEngine:
         held = sizes > 0
         p_eff[held] = self.activity / sizes[held]
         cvals = _bernoulli_cumulants(p_eff, self.depth)  # (C, D, depth)
-        table = holds.transpose(0, 2, 1)  # (C, R, D), row t for column t
         # Per-source (cumulant, support) terms for every (column t, dest d):
         # rows e < D from candidate 0, which shares all rows but ``node``'s;
         # row D + k is ``node`` holding t among ``states[k]`` resources (0: not).
@@ -468,7 +466,7 @@ class GcOutageEngine:
         sums = np.add.reduce(terms[:node], axis=0, initial=0.0) + terms[num_tuples:]
         for term in terms[node + 1 : num_tuples]:
             sums += term
-        counts = table @ self.tuple_counts  # (C, R) members per resource
+        counts = self.tuple_counts @ holds  # (C, R) members per resource
 
         pair_cand, pair_sensor, pair_col = np.nonzero(
             holds[:, det, :] & affected[:, :, None]
