@@ -609,8 +609,8 @@ def batch_cf_outage(
     Every held (sensor, resource) pair's edge is decided first, from exact
     pool supports and member counts (:func:`_pair_edges`, the conventions of
     :func:`outage_single`); only the pairs left live are inverted.  Their
-    spectra are leave-one-out factor products (:func:`_pooled_laws`), exact
-    at every activity; sensors detected at one tuple share a grid sized to
+    spectra are leave-one-out factor products over the same terms that the
+    supports sum (:func:`_pooled_laws`), exact at every activity; sensors detected at one tuple share a grid sized to
     its pooled support, and a tail is read off that grid's coarse bins.  The
     bin-level reading is not bounded by one cell's mass: on desk.cfg's
     random allocations the default 4096 points differ from a 2^15-point
