@@ -38,7 +38,7 @@ def main() -> int:
         ("cdf_compare", ["approx", "--sensor", "0", "--grid-points", "4096"]),
         ("allocate_single", ["allocate", "--strategy", "greedy", "--mode", "single"]),
         ("report_single", ["report", "--allocation", written("single"),
-                           "--mode", "single", "--method", "cf"]),
+                           "--method", "cf"]),
         ("outage_cdf_single", ["sweep", "outage_cdf", "--mode", "single"]),
     ]
     if not args.skip_multiple:
@@ -46,7 +46,7 @@ def main() -> int:
             ("allocate_multiple", ["allocate", "--strategy", "greedy",
                                    "--mode", "multiple"]),
             ("report_multiple", ["report", "--allocation", written("multiple"),
-                                 "--mode", "multiple", "--method", "cf"]),
+                                 "--method", "cf"]),
             ("outage_cdf_multiple", ["sweep", "outage_cdf", "--mode", "multiple"]),
         ]
     for name, argv in runs:

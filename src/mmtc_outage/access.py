@@ -118,15 +118,19 @@ def effective_probabilities(
     return out
 
 
-def write_allocation_csv(alloc: ResourceAllocation, path: str | Path) -> None:
+def write_allocation_csv(
+    alloc: ResourceAllocation, path: str | Path, note: str | None = None
+) -> None:
     """Dump colors and decoded resource lists, one row per tuple.
 
     Columns: cn, beam, color, resource_list (semicolon-joined ids).  The
-    leading comment line carries mode and shape so the file reads back.
+    leading comment line carries mode and shape so the file reads back,
+    then ``note`` if given.
     """
+    suffix = f" {note}" if note else ""
     lines = [
         f"# allocation mode={alloc.mode} num_cns={alloc.num_cns} "
-        f"num_beams={alloc.num_beams} num_resources={alloc.num_resources}"
+        f"num_beams={alloc.num_beams} num_resources={alloc.num_resources}{suffix}"
     ]
     lines.append("cn,beam,color,resource_list")
     for node, row in enumerate(alloc.holds):
@@ -138,7 +142,7 @@ def write_allocation_csv(alloc: ResourceAllocation, path: str | Path) -> None:
 
 _ALLOC_HEADER = re.compile(
     r"# allocation mode=(single|multiple) num_cns=(\d+) "
-    r"num_beams=(\d+) num_resources=(\d+)$"
+    r"num_beams=(\d+) num_resources=(\d+)(?: .*)?$"
 )
 
 

@@ -6,12 +6,13 @@ Subcommands map onto the library's main operations:
 * ``approx``   reference-vs-series cdf comparison for one sensor -> cdf_compare.csv
 * ``sweep``    approximation-error / allocation sweeps -> <experiment>.csv
 * ``allocate`` greedy or random coloring -> allocation.csv (+ trace.csv)
-* ``report``   per-sensor outage for an allocation -> outage.csv
+* ``report``   per-sensor outage of the allocation.csv ``allocate`` wrote -> outage.csv
 
-Every subcommand takes ``--config`` (key=value file; library defaults when
-omitted), ``--seed`` (overrides the config seed and derives all other
-randomness) and ``--out`` (output directory), and rejects any flag it does
-not read.  Exit codes: 0 on success, 1 on runtime failure, 2 on usage errors.
+Every subcommand, and every ``sweep`` experiment, takes ``--config``
+(key=value file; library defaults when omitted), ``--seed`` (overrides the
+config seed and derives all other randomness) and ``--out`` (output
+directory), and rejects any flag it does not read.  Exit codes: 0 on
+success, 1 on runtime failure, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -39,18 +40,28 @@ _OPTIONAL_FLAGS = {
     "--grid-points": dict(
         type=int, default=1 << 12, help="frequency-grid size for cf evaluations (power of two)"
     ),
+    "--values": dict(default="", help="comma-separated sensor counts or activities"),
+    "--orders": dict(default="0,1,2,3,4,5", help="comma-separated series orders"),
+    "--reps": dict(type=int, default=1, help="repetitions per point"),
+    "--cdf-points": dict(type=int, default=201, help="grid size for outage_cdf"),
+}
+
+_ERROR_SWEEP = ("--grid-points", "--values", "--orders", "--reps")
+_OUTAGE_SWEEP = ("--mode", "--method", "--grid-points", "--values", "--reps")
+_SWEEP_FLAGS = {
+    "error_vs_m": _ERROR_SWEEP,
+    "error_vs_p": _ERROR_SWEEP,
+    "outage_vs_m": _OUTAGE_SWEEP,
+    "outage_vs_p": _OUTAGE_SWEEP,
+    "outage_cdf": ("--mode", "--method", "--grid-points", "--reps", "--cdf-points"),
 }
 
 
 def _add_shared(parser: argparse.ArgumentParser, *optional: str) -> None:
     """Add --config, --seed and --out, plus the named ``_OPTIONAL_FLAGS``."""
     parser.add_argument("--config", metavar="PATH", help="scenario config file")
-    parser.add_argument(
-        "--seed", type=int, default=None, help="override the scenario seed"
-    )
-    parser.add_argument(
-        "--out", metavar="DIR", default=".", help="output directory (default: .)"
-    )
+    parser.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    parser.add_argument("--out", metavar="DIR", default=".", help="output directory (default: .)")
     for flag in optional:
         parser.add_argument(flag, **_OPTIONAL_FLAGS[flag])
 
@@ -74,50 +85,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sweep = commands.add_parser("sweep", help="run a sweep experiment")
-    _add_shared(sweep, "--mode", "--method", "--grid-points")
-    sweep.add_argument(
-        "experiment",
-        choices=[e for e in experiments.EXPERIMENTS if e != "cdf_compare"],
-        help="experiment to run",
-    )
-    sweep.add_argument(
-        "--values",
-        default="",
-        help="comma-separated sweep values (sensor counts or activities)",
-    )
-    sweep.add_argument(
-        "--orders",
-        default="0,1,2,3,4,5",
-        help="comma-separated series orders for error sweeps",
-    )
-    sweep.add_argument("--reps", type=int, default=1, help="repetitions per point")
-    sweep.add_argument(
-        "--cdf-points", type=int, default=201, help="grid size for outage_cdf"
-    )
+    sweeps = sweep.add_subparsers(dest="experiment", metavar="experiment", required=True)
+    for name, flags in _SWEEP_FLAGS.items():
+        experiment = sweeps.add_parser(name)
+        _add_shared(experiment, *flags)
+        # the flags it does not read keep the defaults that ExperimentSpec records
+        experiment.set_defaults(**{
+            flag[2:].replace("-", "_"): spec["default"]
+            for flag, spec in _OPTIONAL_FLAGS.items() if flag not in flags
+        })
 
     alloc = commands.add_parser("allocate", help="color the interference graph")
     _add_shared(alloc, "--mode")
-    alloc.add_argument(
-        "--strategy", choices=("greedy", "random"), default="greedy"
-    )
+    alloc.add_argument("--strategy", choices=("greedy", "random"), default="greedy")
     alloc.add_argument("--max-iterations", type=int, default=10)
     alloc.add_argument("--improvement-threshold", type=float, default=1e-4)
     alloc.add_argument("--color-bound", type=int, default=None)
 
     report = commands.add_parser("report", help="per-sensor outage report")
-    _add_shared(report, "--mode", "--method", "--grid-points")
+    _add_shared(report, "--method", "--grid-points")
     report.add_argument(
-        "--strategy", choices=("greedy", "random"), default="greedy"
+        "--allocation", metavar="PATH", required=True, help="allocation CSV written by allocate"
     )
-    report.add_argument(
-        "--allocation",
-        metavar="PATH",
-        default=None,
-        help="report an allocation CSV instead of recomputing one",
-    )
-    report.add_argument(
-        "--draws", type=int, default=100_000, help="draws for --method mc"
-    )
+    report.add_argument("--draws", type=int, default=100_000, help="draws for --method mc")
     return parser
 
 
@@ -132,10 +122,6 @@ def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _parse_values(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(",") if v.strip())
 
 
 def _cmd_gen(args) -> int:
@@ -161,15 +147,14 @@ def _cmd_approx(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _load_config(args)
-    orders = tuple(int(v) for v in args.orders.split(",") if v.strip())
     spec = experiments.ExperimentSpec(
         experiment=args.experiment,
         config=config,
         seed=config.seed,
         mode=args.mode,
         method=args.method,
-        sweep=_parse_values(args.values),
-        orders=orders,
+        sweep=tuple(float(v) for v in args.values.split(",") if v.strip()),
+        orders=tuple(int(v) for v in args.orders.split(",") if v.strip()),
         reps=args.reps,
         grid_points=args.grid_points,
         cdf_points=args.cdf_points,
@@ -200,39 +185,41 @@ def _cmd_allocate(args) -> int:
         )
         alloc = result.allocation
         allocation.write_trace_csv(result, out / "trace.csv")
-    access.write_allocation_csv(alloc, out / "allocation.csv")
+    access.write_allocation_csv(
+        alloc, out / "allocation.csv", note=f"config: {config_summary(config)}"
+    )
     return 0
 
 
 def _cmd_report(args) -> int:
     config = _load_config(args)
     scenario = generate_scenario(config)
-    if args.allocation is not None:
-        alloc = access.read_allocation_csv(args.allocation)
-        shape = (alloc.num_cns, alloc.num_beams)
-        if shape != (scenario.num_cns, scenario.num_beams):
-            raise ValueError(
-                f"allocation has {shape[0]} x {shape[1]} collector/beam tuples "
-                f"but the scenario has {scenario.num_cns} x {scenario.num_beams}"
-            )
-        if (alloc.num_resources, alloc.mode) != (config.num_resources, args.mode):
-            raise ValueError(
-                f"allocation has num_resources={alloc.num_resources} in {alloc.mode} "
-                f"mode, but the config has num_resources={config.num_resources} "
-                f"and --mode is {args.mode}"
-            )
-    elif args.strategy == "random":
-        alloc = allocation.random_allocate(scenario, args.mode, config.seed)
-    else:
-        alloc = allocation.greedy_allocate(
-            scenario, args.mode, allocation.GreedyConfig(init_seed=config.seed)
-        ).allocation
+    alloc = access.read_allocation_csv(args.allocation)
+    shape = (alloc.num_cns, alloc.num_beams)
+    if shape != (scenario.num_cns, scenario.num_beams):
+        raise ValueError(
+            f"allocation has {shape[0]} x {shape[1]} collector/beam tuples "
+            f"but the scenario has {scenario.num_cns} x {scenario.num_beams}"
+        )
+    if alloc.num_resources != config.num_resources:
+        raise ValueError(
+            f"allocation has num_resources={alloc.num_resources}, "
+            f"but the config has num_resources={config.num_resources}"
+        )
+    summary = config_summary(config)
+    header = Path(args.allocation).read_text(encoding="utf-8").partition("\n")[0]
+    written_for = header.partition(" config: ")[2] or "(none recorded)"
+    if written_for != summary:
+        raise ValueError(
+            f"allocation was written for config: {written_for}, "
+            f"but this run's config is: {summary}"
+        )
     method = outage.parse_method(args.method, args.grid_points, args.draws, config.seed)
     report = outage.average_outage(alloc, scenario, method)
     outage.write_outage_csv(
         report,
         _out_dir(args) / "outage.csv",
-        note=f"grid_points={args.grid_points} config: {config_summary(config)}",
+        note=f"grid_points={args.grid_points} config: {summary}",
     )
     return 0
 

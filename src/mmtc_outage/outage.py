@@ -236,16 +236,6 @@ def outage_multi(
 _MC_CHUNK_TARGET = 1 << 21  # samples per chunk ~ target / candidate count
 
 
-def _resource_table(alloc: ResourceAllocation) -> tuple[np.ndarray, np.ndarray]:
-    """Per-tuple sorted resource ids padded into a rectangle, plus set sizes."""
-    sizes = alloc.set_sizes
-    width = max(1, int(sizes.max()))
-    # held columns first, each group in ascending column order
-    cols = np.argsort(~alloc.holds, axis=1, kind="stable")[:, :width]
-    held = np.take_along_axis(alloc.holds, cols, axis=1)
-    return np.where(held, cols + 1, 0), sizes
-
-
 def monte_carlo_outage(
     alloc: ResourceAllocation,
     scenario: Scenario,
@@ -274,7 +264,11 @@ def monte_carlo_outage(
     threshold = float(interference_headroom(scenario)[sensor_index])
     if threshold < 0.0:
         return 1.0  # every draw fails on noise alone
-    table, sizes = _resource_table(alloc)
+    # per-tuple sorted resource ids, padded into a rectangle: held columns
+    # first, each group in ascending column order
+    sizes = alloc.set_sizes
+    cols = np.argsort(~alloc.holds, axis=1, kind="stable")[:, : max(1, int(sizes.max()))]
+    table = np.where(np.take_along_axis(alloc.holds, cols, axis=1), cols + 1, 0)
     candidate = (sizes[det] > 0) & (scenario.activities > 0.0)
     candidate[sensor_index] = False
     candidate &= (alloc.holds[det] & alloc.holds[node]).any(axis=1)
@@ -314,25 +308,6 @@ def _pair_edges(thresholds, supports, members) -> tuple[np.ndarray, np.ndarray]:
     neg = thresholds < 0.0
     live = ~neg & (members > 0) & (thresholds < supports)
     return np.where(neg, 1.0, 0.0), live
-
-
-def _batched_series_tail(
-    kappa: np.ndarray,
-    thresholds: np.ndarray,
-    supports: np.ndarray,
-    order: int,
-) -> np.ndarray:
-    """Series tails for rows of cumulants, clamped to [0, 1].
-
-    ``kappa[:, n]`` holds cumulant order n+1 (at least two columns); callers
-    must have dealt with thresholds outside (0, support) and zero-variance
-    rows already.  Coefficients and tails come from stats_core's
-    _series_coefficients and _series_tails, the routines behind the scalar
-    series, here with scipy's array normal cdf.
-    """
-    from scipy.special import ndtr  # ~24 MB; only the batched engine needs it
-    mu, sigma, beta, norm, (an,) = _series_coefficients(kappa, supports, (order,), ndtr)
-    return _series_tails(thresholds, mu, sigma, beta, norm, an, ndtr)
 
 
 _PAIR_CHUNK_ROWS = 1 << 15  # distinct (sensor, resource) pairs per series-tail call
@@ -448,16 +423,16 @@ class GcOutageEngine:
         num_sensors = det.size
         num_cands, num_tuples, num_resources = holds.shape
         sizes = holds.sum(axis=2)  # (C, D)
-        p_eff = np.zeros(sizes.shape)
-        held = sizes > 0
-        p_eff[held] = self.activity / sizes[held]
-        cvals = _bernoulli_cumulants(p_eff, self.depth)  # (C, D, depth)
+        # cumulants of one source at p_eff = activity / |T|, by set size |T|
+        by_size = _bernoulli_cumulants(
+            np.r_[0.0, self.activity / np.arange(1, num_resources + 1)], self.depth
+        )
+        cvals = by_size[sizes]  # (C, D, depth)
         # Per-source (cumulant, support) terms for every (column t, dest d):
         # rows e < D from candidate 0, which shares all rows but ``node``'s;
         # row D + k is ``node`` holding t among ``states[k]`` resources (0: not).
         states = np.union1d(0, sizes[:, node])
-        state_p = np.where(states > 0, self.activity / np.maximum(states, 1), 0.0)
-        cv = np.concatenate([cvals[0], _bernoulli_cumulants(state_p, self.depth)])
+        cv = np.concatenate([cvals[0], by_size[states]])
         src = self.pooled.transpose(1, 0, 2)[np.r_[:num_tuples, [node] * states.size]]
         mask = np.concatenate([holds[0], np.repeat(states[:, None] > 0, num_resources, 1)])
         q = np.concatenate([cv[:, None, :] * src, src[:, :, :1]], axis=2)
@@ -493,8 +468,9 @@ class GcOutageEngine:
             )
         pair_weight = 1.0 / sizes[pair_cand, det[pair_sensor]]
         flat = pair_cand * num_sensors + pair_sensor
-        contrib = np.zeros(num_cands * num_sensors)
-        np.add.at(contrib, flat, values[inverse] * pair_weight)
+        contrib = np.bincount(
+            flat, values[inverse] * pair_weight, minlength=num_cands * num_sensors
+        )
         out = np.repeat(base[None], num_cands, axis=0)
         out[affected] = 1.0
         out.reshape(-1)[flat] = contrib[flat]
@@ -514,12 +490,11 @@ class GcOutageEngine:
             )
         series = live & (variance > 0.0)
         if series.any():
-            values[series] = _batched_series_tail(
-                kappa[series],
-                thresholds[series],
-                supports[series],
-                self.order,
+            from scipy.special import ndtr  # ~24 MB; only the batched engine needs it
+            mu, sigma, beta, norm, (an,) = _series_coefficients(
+                kappa[series], supports[series], (self.order,), ndtr
             )
+            values[series] = _series_tails(thresholds[series], mu, sigma, beta, norm, an, ndtr)
         return values
 
 
@@ -632,8 +607,8 @@ def batch_cf_outage(
     laws = _pooled_laws(alloc, scenario, grid_points, sensors[live], resources[live])
     for k, law in laws:
         values[live[k]] = law.tail(thresholds[live[k]])
-    accum = np.zeros(scenario.num_sensors)
-    np.add.at(accum, sensors, values * (1.0 / alloc.set_sizes[nodes]))
+    weights = values * (1.0 / alloc.set_sizes[nodes])
+    accum = np.bincount(sensors, weights, minlength=scenario.num_sensors)
     return np.where(alloc.set_sizes[det] > 0, accum, 1.0)
 
 

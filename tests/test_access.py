@@ -263,7 +263,8 @@ def test_probabilities_in_interference_terms(toy_scenario):
 def test_allocation_csv_roundtrip(tmp_path):
     alloc = ResourceAllocation("multiple", np.array([[5, 0], [63, 9]]), 6)
     path = tmp_path / "alloc.csv"
-    write_allocation_csv(alloc, path)
+    write_allocation_csv(alloc, path, note="config: seed=3")
+    assert path.read_text().splitlines()[0].endswith(" num_resources=6 config: seed=3")
     back = read_allocation_csv(path)
     assert back.mode == alloc.mode
     assert back.num_resources == alloc.num_resources

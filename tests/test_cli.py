@@ -204,19 +204,6 @@ def test_report_allocation_of_other_resource_count_exits_1(tmp_path, cfg_file, c
     assert not (tmp_path / "outage.csv").exists()
 
 
-def test_report_allocation_of_other_mode_exits_1(tmp_path, cfg_file, capsys):
-    single = access.ResourceAllocation("single", np.array([[1, 2], [2, 1]]), 2)
-    access.write_allocation_csv(single, tmp_path / "single.csv")
-    code = run(
-        "report", "--config", cfg_file, "--out", tmp_path, "--mode", "multiple",
-        "--allocation", tmp_path / "single.csv",
-    )
-    assert code == 1
-    err = capsys.readouterr().err
-    assert "single mode" in err and "--mode is multiple" in err
-    assert not (tmp_path / "outage.csv").exists()
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -227,18 +214,32 @@ def test_report_allocation_of_other_mode_exits_1(tmp_path, cfg_file, capsys):
         ("approx", "--method", "gc5"),
         ("allocate", "--method", "gc5"),
         ("allocate", "--grid-points", "256"),
+        ("sweep", "error_vs_p", "--values", "0.1", "--method", "mc"),
+        ("sweep", "error_vs_p", "--values", "0.1", "--mode", "multiple"),
+        ("sweep", "error_vs_p", "--values", "0.1", "--cdf-points", "7"),
+        ("sweep", "outage_vs_m", "--values", "8", "--orders", "1"),
+        ("sweep", "outage_vs_m", "--values", "8", "--cdf-points", "7"),
+        ("sweep", "outage_cdf", "--values", "5,6"),
+        ("sweep", "outage_cdf", "--orders", "1"),
+        ("report", "--allocation", "allocation.csv", "--strategy", "random"),
+        ("report", "--allocation", "allocation.csv", "--mode", "single"),
+        ("report",),  # --allocation is required
     ],
     ids=lambda argv: " ".join(argv),
 )
 def test_flag_the_subcommand_does_not_read_is_usage_error(tmp_path, cfg_file, argv):
     with pytest.raises(SystemExit) as info:
-        run(argv[0], "--config", cfg_file, "--out", tmp_path, *argv[1:])
+        run(*argv, "--config", cfg_file, "--out", tmp_path)
     assert info.value.code == 2
 
 
 def test_report_mc_seed_is_the_config_seed(tmp_path, cfg_file):
     cfg_file.write_text(TINY_CFG + "seed=7\n")
-    shared = ("--config", cfg_file, "--method", "mc", "--draws", 500)
+    assert run("allocate", "--config", cfg_file, "--out", tmp_path) == 0
+    shared = (
+        "--config", cfg_file, "--method", "mc", "--draws", 500,
+        "--allocation", tmp_path / "allocation.csv",
+    )
     assert run("report", *shared, "--out", tmp_path / "implicit") == 0
     assert run("report", *shared, "--seed", 7, "--out", tmp_path / "explicit") == 0
     implicit = (tmp_path / "implicit" / "outage.csv").read_bytes()
@@ -246,12 +247,16 @@ def test_report_mc_seed_is_the_config_seed(tmp_path, cfg_file):
 
 
 def test_report_mc_method(tmp_path, cfg_file):
+    shared = ("--config", cfg_file, "--seed", 2, "--out", tmp_path)
+    assert run("allocate", *shared, "--strategy", "random", "--mode", "multiple") == 0
     code = run(
-        "report", "--config", cfg_file, "--seed", 2, "--out", tmp_path,
-        "--method", "mc", "--draws", 200, "--strategy", "random",
+        "report", *shared, "--method", "mc", "--draws", 200,
+        "--allocation", tmp_path / "allocation.csv",
     )
     assert code == 0
-    assert "method=mc" in (tmp_path / "outage.csv").read_text().splitlines()[0]
+    # the mode is the one the allocation file records
+    header = (tmp_path / "outage.csv").read_text().splitlines()[0]
+    assert header.startswith("# outage mode=multiple method=mc ")
 
 
 def test_repeat_runs_are_byte_identical(tmp_path, cfg_file):
@@ -264,20 +269,16 @@ def test_repeat_runs_are_byte_identical(tmp_path, cfg_file):
     assert (a / "outage_vs_m.csv").read_bytes() == (b / "outage_vs_m.csv").read_bytes()
 
 
-@pytest.mark.parametrize("mode", ["single", "multiple"])
-@pytest.mark.parametrize(
-    "method", [("--method", "gc5"), ("--method", "mc", "--draws", 200)], ids=["gc5", "mc"]
-)
-def test_report_of_written_allocation_equals_recomputed(tmp_path, cfg_file, mode, method):
-    shared = ("--config", cfg_file, "--seed", 3, "--mode", mode)
-    assert run("allocate", *shared, "--out", tmp_path / "alloc") == 0
-    assert run(
-        "report", *shared, *method, "--out", tmp_path / "read",
-        "--allocation", tmp_path / "alloc" / "allocation.csv",
-    ) == 0
-    assert run("report", *shared, *method, "--out", tmp_path / "recomputed") == 0
-    read = (tmp_path / "read" / "outage.csv").read_bytes()
-    assert read == (tmp_path / "recomputed" / "outage.csv").read_bytes()
+def test_report_allocation_of_other_seed_exits_1(tmp_path, cfg_file, capsys):
+    assert run("allocate", "--config", cfg_file, "--seed", 1, "--out", tmp_path) == 0
+    code = run(
+        "report", "--config", cfg_file, "--seed", 2, "--out", tmp_path,
+        "--allocation", tmp_path / "allocation.csv",
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "seed=1" in err and "seed=2" in err
+    assert not (tmp_path / "outage.csv").exists()
 
 
 def test_report_allocation_with_out_of_shape_row_exits_1(tmp_path, cfg_file, capsys):

@@ -534,6 +534,8 @@ def test_engine_requires_uniform_activity():
 
 
 def test_batched_series_twin_matches_scalar_pipeline():
+    from scipy.special import ndtr
+
     rng = np.random.default_rng(17)
     for _ in range(25):
         n = int(rng.integers(5, 13))
@@ -550,11 +552,11 @@ def test_batched_series_twin_matches_scalar_pipeline():
                     stats_core.gram_charlier(model, order), thr
                 )
                 kappa = np.array([model.cumulants[: max(order, 2)]])
-                got = outage._batched_series_tail(
-                    kappa,
-                    np.array([thr]),
-                    np.array([model.support_bound]),
-                    order,
+                rows = stats_core._series_coefficients(
+                    kappa, np.array([model.support_bound]), (order,), ndtr
+                )
+                got = stats_core._series_tails(
+                    np.array([thr]), *rows[:4], rows[4][0], ndtr
                 )[0]
                 assert got == pytest.approx(scalar, abs=1e-12)
 
