@@ -36,15 +36,14 @@ def main() -> int:
     runs = [
         ("scenario", ["gen"]),
         ("cdf_compare", ["approx", "--sensor", "0", "--grid-points", "4096"]),
-        ("allocate_single", ["allocate", "--strategy", "greedy", "--mode", "single"]),
+        ("allocate_single", ["allocate", "--mode", "single"]),
         ("report_single", ["report", "--allocation", written("single"),
                            "--method", "cf"]),
         ("outage_cdf_single", ["sweep", "outage_cdf", "--mode", "single"]),
     ]
     if not args.skip_multiple:
         runs += [
-            ("allocate_multiple", ["allocate", "--strategy", "greedy",
-                                   "--mode", "multiple"]),
+            ("allocate_multiple", ["allocate", "--mode", "multiple"]),
             ("report_multiple", ["report", "--allocation", written("multiple"),
                                  "--method", "cf"]),
             ("outage_cdf_multiple", ["sweep", "outage_cdf", "--mode", "multiple"]),

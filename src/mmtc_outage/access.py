@@ -114,7 +114,7 @@ def effective_probabilities(
     sizes = alloc.set_sizes[scenario.det_node]
     out = np.zeros(scenario.num_sensors)
     held = sizes > 0
-    out[held] = scenario.activities[held] / sizes[held]
+    out[held] = scenario.config.activity / sizes[held]
     return out
 
 

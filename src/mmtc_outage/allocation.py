@@ -120,8 +120,8 @@ class GreedyConfig:
     init_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        if self.max_iterations < 0:
+            raise ValueError("max_iterations must be >= 0")
         if not self.improvement_threshold >= 0.0:
             raise ValueError("improvement_threshold must be >= 0")
         if self.color_bound is not None and self.color_bound < 1:
@@ -175,7 +175,8 @@ def greedy_allocate(
 ) -> GreedyResult:
     """Sweep-descent coloring that minimizes the scenario-average outage.
 
-    Starts from :func:`random_allocate`'s colors, then repeatedly re-colors
+    Starts from :func:`random_allocate`'s colors (the result when
+    ``max_iterations`` is 0), then repeatedly re-colors
     nodes in descending-degree order, setting each to the smallest color
     attaining the minimum objective.  The palette is decoded once; each node's
     candidate colors are scored together by

@@ -5,7 +5,7 @@ Subcommands map onto the library's main operations:
 * ``gen``      scenario from a config file -> scenario.csv
 * ``approx``   reference-vs-series cdf comparison for one sensor -> cdf_compare.csv
 * ``sweep``    approximation-error / allocation sweeps -> <experiment>.csv
-* ``allocate`` greedy or random coloring -> allocation.csv (+ trace.csv)
+* ``allocate`` greedy coloring -> allocation.csv + trace.csv
 * ``report``   per-sensor outage of the allocation.csv ``allocate`` wrote -> outage.csv
 
 Every subcommand, and every ``sweep`` experiment, takes ``--config``
@@ -97,7 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     alloc = commands.add_parser("allocate", help="color the interference graph")
     _add_shared(alloc, "--mode")
-    alloc.add_argument("--strategy", choices=("greedy", "random"), default="greedy")
     alloc.add_argument("--max-iterations", type=int, default=10)
     alloc.add_argument("--improvement-threshold", type=float, default=1e-4)
     alloc.add_argument("--color-bound", type=int, default=None)
@@ -168,25 +167,19 @@ def _cmd_allocate(args) -> int:
     config = _load_config(args)
     scenario = generate_scenario(config)
     out = _out_dir(args)
-    if args.strategy == "random":
-        alloc = allocation.random_allocate(
-            scenario, args.mode, config.seed, color_bound=args.color_bound
-        )
-    else:
-        result = allocation.greedy_allocate(
-            scenario,
-            args.mode,
-            allocation.GreedyConfig(
-                max_iterations=args.max_iterations,
-                improvement_threshold=args.improvement_threshold,
-                color_bound=args.color_bound,
-                init_seed=config.seed,
-            ),
-        )
-        alloc = result.allocation
-        allocation.write_trace_csv(result, out / "trace.csv")
+    result = allocation.greedy_allocate(
+        scenario,
+        args.mode,
+        allocation.GreedyConfig(
+            max_iterations=args.max_iterations,
+            improvement_threshold=args.improvement_threshold,
+            color_bound=args.color_bound,
+            init_seed=config.seed,
+        ),
+    )
+    allocation.write_trace_csv(result, out / "trace.csv")
     access.write_allocation_csv(
-        alloc, out / "allocation.csv", note=f"config: {config_summary(config)}"
+        result.allocation, out / "allocation.csv", note=f"config: {config_summary(config)}"
     )
     return 0
 

@@ -5,7 +5,7 @@ which happens exactly when the aggregated interference at its detector
 exceeds ``own_power / threshold - noise_power``.  Three evaluation routes
 are provided: the closed-form series tail (truncated-Gaussian kernel with
 a Hermite correction), numerical characteristic-function inversion, and
-Monte Carlo resampling of activities and resource choices.
+Monte Carlo sampling of the interference terms.
 
 Beyond the per-sensor operations, two batched evaluators make scenario-wide
 sweeps affordable: :class:`GcOutageEngine` pools per-tuple power sums so one
@@ -92,7 +92,7 @@ class CharFnMethod:
 
 @dataclass(frozen=True)
 class MonteCarloMethod:
-    """Empirical frequency over independent activity/resource draws."""
+    """Empirical frequency over independent draws of the interference terms."""
 
     draws: int = 100_000
     seed: int = 0
@@ -233,7 +233,7 @@ def outage_multi(
     return math.fsum(values) / len(values)
 
 
-_MC_CHUNK_TARGET = 1 << 21  # samples per chunk ~ target / candidate count
+_MC_CHUNK_TARGET = 1 << 21  # samples per chunk ~ target / term count
 
 
 def monte_carlo_outage(
@@ -245,54 +245,32 @@ def monte_carlo_outage(
 ) -> float:
     """Empirical outage frequency over ``draws`` independent draws.
 
-    Per draw: every candidate interferer is active with its activity
-    probability and, if active, transmits on one resource drawn uniformly
-    from its tuple's set; the reference sensor transmits on a uniform draw
-    from its own set, so the estimate is :func:`outage_multi`'s resource
-    average.  The outage event is counted as interference strictly above
-    the headroom, matching the tail convention of the analytic methods.
-    Draws come from ``default_rng([seed, sensor_index])``, so the result is
-    deterministic given the seed.
+    The draws are split over the sensor's held resources uniformly at
+    random, so the estimate is :func:`outage_multi`'s resource average.  A
+    draw on resource t samples the pool :func:`outage_single` reads,
+    :func:`interference_terms`: each term is on independently with its
+    effective probability (its sensor is active and picked t from its
+    tuple's set), decided by one uniform per (draw, term).  The outage
+    event is counted as interference strictly above the headroom, matching
+    the tail convention of the analytic methods.  Draws come from
+    ``default_rng([seed, sensor_index])``, so the result is deterministic
+    given the seed.
     """
     if draws < 1:
         raise ValueError("draws must be >= 1")
-    det = scenario.det_node
-    node = int(det[sensor_index])
-    own_arr = np.flatnonzero(alloc.holds[node]) + 1
-    if not own_arr.size:
-        return 1.0
+    held = np.flatnonzero(alloc.holds[scenario.det_node[sensor_index]]) + 1
     threshold = float(interference_headroom(scenario)[sensor_index])
-    if threshold < 0.0:
-        return 1.0  # every draw fails on noise alone
-    # per-tuple sorted resource ids, padded into a rectangle: held columns
-    # first, each group in ascending column order
-    sizes = alloc.set_sizes
-    cols = np.argsort(~alloc.holds, axis=1, kind="stable")[:, : max(1, int(sizes.max()))]
-    table = np.where(np.take_along_axis(alloc.holds, cols, axis=1), cols + 1, 0)
-    candidate = (sizes[det] > 0) & (scenario.activities > 0.0)
-    candidate[sensor_index] = False
-    candidate &= (alloc.holds[det] & alloc.holds[node]).any(axis=1)
-    ids = np.nonzero(candidate)[0]
-    if ids.size == 0:
-        return 0.0
-    weights = scenario.powers_at[node][ids]
-    acts = scenario.activities[ids]
-    nodes = det[ids]
-    node_sizes = sizes[nodes]
+    if not held.size or threshold < 0.0:
+        return 1.0  # switched off, or every draw fails on noise alone
     rng = np.random.default_rng([seed, sensor_index])
-    chunk = max(1, _MC_CHUNK_TARGET // ids.size)
+    counts = rng.multinomial(draws, np.full(held.size, 1.0 / held.size))
     failures = 0
-    remaining = draws
-    while remaining:
-        n = min(chunk, remaining)
-        mine = own_arr[rng.integers(0, own_arr.size, size=n)]
-        active = rng.random((n, ids.size)) < acts[None, :]
-        slots = rng.integers(0, node_sizes[None, :], size=(n, ids.size))
-        chosen = table[nodes[None, :], slots]
-        hits = active & (chosen == mine[:, None])
-        interference = hits @ weights
-        failures += int(np.count_nonzero(interference > threshold))
-        remaining -= n
+    for resource, count in zip(held.tolist(), counts.tolist()):
+        weights, probs = interference_terms(alloc, scenario, sensor_index, resource)
+        chunk = max(1, _MC_CHUNK_TARGET // max(1, weights.size))
+        for lo in range(0, count, chunk):
+            on = rng.random((min(chunk, count - lo), weights.size)) < probs
+            failures += int(np.count_nonzero(on @ weights > threshold))
     return failures / draws
 
 
@@ -338,25 +316,15 @@ class GcOutageEngine:
     coefficients are computed independently of the other rows in its call
     (``collect_power_coefficients``), so palette scores equal full
     evaluations of the re-colored allocations bit for bit.
-
-    Requires the uniform per-sensor activity produced by the scenario
-    generator (the per-tuple pooling folds the activity into per-tuple
-    effective probabilities).
     """
 
     def __init__(self, scenario: Scenario, order: int = 5):
         if not 0 <= order <= 5:
             raise ValueError(f"series order must lie in 0..5, got {order}")
-        acts = scenario.activities
-        if acts.size and not np.all(acts == acts[0]):
-            raise ValueError(
-                "per-tuple pooling needs a uniform activity; "
-                "use the scalar operations for heterogeneous sensors"
-            )
         self.scenario = scenario
         self.order = order
         self.depth = max(order, 2)
-        self.activity = float(acts[0]) if acts.size else 0.0
+        self.activity = float(scenario.config.activity)
         det = scenario.det_node
         num_tuples = scenario.num_tuples
         exponents = np.arange(1, self.depth + 1)

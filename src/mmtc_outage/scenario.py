@@ -114,7 +114,6 @@ class Scenario:
     cn_positions: np.ndarray  # (K, 2)
     positions: np.ndarray  # (M, 2)
     home_cn: np.ndarray  # (M,) int
-    activities: np.ndarray  # (M,) float
     powers_at: np.ndarray  # (D, M) watts, D = K * L
     det_node: np.ndarray  # (M,) int, flattened detection tuple
     own_power: np.ndarray  # (M,) watts
@@ -129,6 +128,11 @@ class Scenario:
     @property
     def num_sensors(self) -> int:
         return self.positions.shape[0]
+
+    @property
+    def activities(self) -> np.ndarray:
+        """(M,) per-sensor activity: every sensor has ``config.activity``."""
+        return np.full(self.num_sensors, self.config.activity)
 
     @property
     def num_cns(self) -> int:
@@ -247,7 +251,6 @@ def assemble_scenario(
         cn_positions=cn_positions,
         positions=sensor_positions,
         home_cn=home,
-        activities=np.full(num_sensors, config.activity),
         powers_at=powers_at,
         det_node=det_node,
         own_power=own_power,

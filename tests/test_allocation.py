@@ -186,7 +186,7 @@ def test_color_bound_restricts_palette():
 
 def test_config_validation():
     with pytest.raises(ValueError, match="max_iterations"):
-        allocation.GreedyConfig(max_iterations=0)
+        allocation.GreedyConfig(max_iterations=-1)
     with pytest.raises(ValueError, match="improvement_threshold"):
         allocation.GreedyConfig(improvement_threshold=-1.0)
     with pytest.raises(ValueError, match="color_bound"):

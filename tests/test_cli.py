@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from mmtc_outage import access, cli
+from mmtc_outage import access, allocation, cli
+from mmtc_outage import scenario as scn
 
 
 TINY_CFG = """\
@@ -137,15 +138,21 @@ def test_allocate_greedy_emits_allocation_and_trace(tmp_path, cfg_file):
     assert len(trace_lines) >= 4  # comment, header, init, >=1 sweep
 
 
-def test_allocate_random_skips_trace(tmp_path, cfg_file):
+def test_allocate_zero_sweeps_writes_random_start(tmp_path, cfg_file):
     out = tmp_path / "rnd"
     code = run(
-        "allocate", "--config", cfg_file, "--out", out, "--strategy", "random",
+        "allocate", "--config", cfg_file, "--out", out, "--max-iterations", 0,
         "--mode", "multiple",
     )
     assert code == 0
-    assert (out / "allocation.csv").exists()
-    assert not (out / "trace.csv").exists()
+    alloc = access.read_allocation_csv(out / "allocation.csv")
+    scenario = scn.generate_scenario(scn.load_scenario_config(cfg_file))
+    start = allocation.random_allocate(scenario, "multiple", scenario.config.seed)
+    assert alloc.colors.tolist() == start.colors.tolist()
+    trace_lines = (out / "trace.csv").read_text().splitlines()
+    assert trace_lines[1] == "iteration,average_outage"
+    assert len(trace_lines) == 3  # comment, header, the random start's objective
+    assert trace_lines[2].startswith("0,")
 
 
 def test_report_from_allocation_file(tmp_path, cfg_file):
@@ -214,6 +221,7 @@ def test_report_allocation_of_other_resource_count_exits_1(tmp_path, cfg_file, c
         ("approx", "--method", "gc5"),
         ("allocate", "--method", "gc5"),
         ("allocate", "--grid-points", "256"),
+        ("allocate", "--strategy", "random"),
         ("sweep", "error_vs_p", "--values", "0.1", "--method", "mc"),
         ("sweep", "error_vs_p", "--values", "0.1", "--mode", "multiple"),
         ("sweep", "error_vs_p", "--values", "0.1", "--cdf-points", "7"),
@@ -248,7 +256,7 @@ def test_report_mc_seed_is_the_config_seed(tmp_path, cfg_file):
 
 def test_report_mc_method(tmp_path, cfg_file):
     shared = ("--config", cfg_file, "--seed", 2, "--out", tmp_path)
-    assert run("allocate", *shared, "--strategy", "random", "--mode", "multiple") == 0
+    assert run("allocate", *shared, "--max-iterations", 0, "--mode", "multiple") == 0
     code = run(
         "report", *shared, "--method", "mc", "--draws", 200,
         "--allocation", tmp_path / "allocation.csv",
@@ -282,7 +290,7 @@ def test_report_allocation_of_other_seed_exits_1(tmp_path, cfg_file, capsys):
 
 
 def test_report_allocation_with_out_of_shape_row_exits_1(tmp_path, cfg_file, capsys):
-    run("allocate", "--config", cfg_file, "--out", tmp_path, "--strategy", "random")
+    run("allocate", "--config", cfg_file, "--out", tmp_path, "--max-iterations", 0)
     path = tmp_path / "allocation.csv"
     path.write_text(path.read_text() + "0,2,1,1\n")  # the tiny config has 2 beams
     code = run("report", "--config", cfg_file, "--out", tmp_path, "--allocation", path)

@@ -3,7 +3,7 @@
 Scalar routes are checked against exact on/off enumeration on small pools;
 the batched engines are then held to the scalar routes (to rounding for the
 series engine, to grid resolution for the pooled CF route); Monte Carlo is
-checked against the analytic values within binomial error.
+checked against exact enumeration within binomial error.
 """
 
 import math
@@ -267,16 +267,41 @@ def test_multi_is_uniform_average_over_held_resources():
 # Monte Carlo
 
 
-def test_mc_matches_cf_within_binomial_error():
-    s = toy()
-    alloc = full_reuse(s)
+def exact_outage(alloc, s, i):
+    """Outage by enumerating every on/off pattern of each held resource's
+    interference terms, averaged over the held resources."""
+    threshold = outage.interference_headroom(s)[i]
+    tails = []
+    for t in np.flatnonzero(alloc.holds[s.det_node[i]]) + 1:
+        weights, probs = outage.interference_terms(alloc, s, i, int(t))
+        tails.append(stats_core.exact_pmf(list(zip(weights, probs))).tail(threshold))
+    return math.fsum(tails) / len(tails)
+
+
+@pytest.mark.parametrize(
+    "mode,activity,sensors",
+    [
+        ("single", 0.12, (0, 5)),
+        # tuples holding 2 or 3 resources; the sensors span all four tuples
+        ("multiple", 0.1, (0, 5, 8, 13, 17)),
+        ("multiple", 0.5, (0, 5, 8, 13, 17)),
+    ],
+    ids=["single", "multiple-p0.1", "multiple-p0.5"],
+)
+def test_mc_matches_exact_law_within_binomial_error(mode, activity, sensors):
+    s = toy(activity=activity)
+    if mode == "single":
+        alloc = full_reuse(s)
+    else:
+        alloc = access.ResourceAllocation(mode, np.array([[3, 5], [6, 7]]), 3)
+        assert set(alloc.set_sizes[s.det_node[list(sensors)]].tolist()) == {2, 3}
     draws = 20_000
-    for i in (0, 5):
-        p_cf = outage.outage_single(alloc, s, i, 1, CF)
-        assert 0.0 < p_cf < 1.0
+    for i in sensors:
+        p_exact = exact_outage(alloc, s, i)
+        assert 0.0 < p_exact < 1.0
         p_mc = outage.monte_carlo_outage(alloc, s, i, draws=draws, seed=9)
-        se = math.sqrt(p_cf * (1.0 - p_cf) / draws)
-        assert abs(p_mc - p_cf) < 4.0 * se + 2e-3
+        se = math.sqrt(p_exact * (1.0 - p_exact) / draws)
+        assert abs(p_mc - p_exact) < 4.0 * se + 2e-3
 
 
 def test_mc_is_deterministic_per_seed():
@@ -524,13 +549,9 @@ def test_palette_rows_equal_full_recompute_on_small_scenarios(
     assert_palette_equals_full_recompute(s, mode, range(s.num_tuples), seed)
 
 
-def test_engine_requires_uniform_activity():
-    s = toy()
-    lopsided = replace(s, activities=np.linspace(0.1, 0.5, s.num_sensors))
-    with pytest.raises(ValueError, match="uniform activity"):
-        outage.GcOutageEngine(lopsided)
-    with pytest.raises(ValueError):
-        outage.GcOutageEngine(s, order=6)
+def test_engine_rejects_order_above_five():
+    with pytest.raises(ValueError, match="order"):
+        outage.GcOutageEngine(toy(), order=6)
 
 
 def test_batched_series_twin_matches_scalar_pipeline():
