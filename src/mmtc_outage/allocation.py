@@ -14,7 +14,6 @@ objective by less than the configured threshold.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,7 +27,6 @@ __all__ = [
     "InterferenceGraph",
     "GreedyConfig",
     "GreedyResult",
-    "beam_points_at",
     "build_graph",
     "greedy_allocate",
     "random_allocate",
@@ -66,48 +64,28 @@ class InterferenceGraph:
         return np.argsort(-self.degrees, kind="stable")
 
 
-def _wrapped_angle(a: float, b: float) -> float:
-    """Absolute angular distance in [0, pi]."""
-    return abs((a - b + math.pi) % (2.0 * math.pi) - math.pi)
-
-
-def beam_points_at(scenario: Scenario, cn: int, beam: int, other_cn: int) -> bool:
-    """True when the beam's boresight is within half a beamwidth (pi / L)
-    of the direction from its collector toward the other collector."""
-    delta = scenario.cn_positions[other_cn] - scenario.cn_positions[cn]
-    direction = math.atan2(float(delta[1]), float(delta[0]))
-    width = math.pi / scenario.num_beams
-    return _wrapped_angle(float(scenario.beam_angles[beam]), direction) < width
-
-
 def build_graph(scenario: Scenario) -> InterferenceGraph:
     """Conflict graph: same-collector cliques plus directed-proximity edges.
 
     Two tuples of distinct collectors conflict when the collectors are
     closer than (interference_factor + 1) deployment radii and either beam
-    points at the opposite collector.
+    points at the opposite collector.  A beam points at a collector when
+    its boresight lies strictly within half a beamwidth (pi / L) of the
+    direction toward it.
     """
-    num_cns = scenario.num_cns
-    beams = scenario.num_beams
-    size = num_cns * beams
-    adj = np.zeros((size, size), dtype=bool)
-    for k in range(num_cns):
-        block = slice(k * beams, (k + 1) * beams)
-        adj[block, block] = ~np.eye(beams, dtype=bool)
+    num_cns, beams = scenario.num_cns, scenario.num_beams
+    delta = scenario.cn_positions[None, :, :] - scenario.cn_positions[:, None, :]  # (K, K, 2)
     reach = (scenario.config.interference_factor + 1.0) * scenario.config.deploy_radius
-    for k in range(num_cns):
-        for k2 in range(k + 1, num_cns):
-            gap = float(np.hypot(*(scenario.cn_positions[k2] - scenario.cn_positions[k])))
-            if gap >= reach:
-                continue
-            toward = [beam_points_at(scenario, k, l, k2) for l in range(beams)]
-            backward = [beam_points_at(scenario, k2, l, k) for l in range(beams)]
-            for l in range(beams):
-                for l2 in range(beams):
-                    if toward[l] or backward[l2]:
-                        a, b = k * beams + l, k2 * beams + l2
-                        adj[a, b] = adj[b, a] = True
-    return InterferenceGraph(adj)
+    near = (np.hypot(delta[..., 0], delta[..., 1]) < reach) & ~np.eye(num_cns, dtype=bool)
+    direction = np.arctan2(delta[..., 1], delta[..., 0])
+    offset = scenario.beam_angles - direction[..., None]  # (K, K, L)
+    points = np.abs((offset + np.pi) % (2.0 * np.pi) - np.pi) < np.pi / beams
+    # adj[k, l, k2, l2]: beam l of k points at k2, or beam l2 of k2 points at k
+    adj = near[:, None, :, None] & (
+        points.transpose(0, 2, 1)[:, :, :, None] | points.transpose(1, 0, 2)[:, None, :, :]
+    )
+    adj |= np.eye(num_cns, dtype=bool)[:, None, :, None] & ~np.eye(beams, dtype=bool)[:, None]
+    return InterferenceGraph(adj.reshape(num_cns * beams, -1))
 
 
 @dataclass(frozen=True)
@@ -140,16 +118,15 @@ class GreedyResult:
         return self.trace[-1]
 
 
-def _palette_bound(mode: str, num_resources: int, config: GreedyConfig) -> int:
+def _palette_bound(mode: str, num_resources: int, color_bound: int | None) -> int:
     full = access.color_bound(mode, num_resources)
-    if config.color_bound is None:
+    if color_bound is None:
         return full
-    if config.color_bound > full:
+    if not 1 <= color_bound <= full:
         raise ValueError(
-            f"color_bound {config.color_bound} exceeds the {mode}-mode "
-            f"palette bound {full}"
+            f"color_bound {color_bound} must lie in 1..{full}, the {mode}-mode palette bound"
         )
-    return config.color_bound
+    return color_bound
 
 
 def random_allocate(
@@ -159,7 +136,7 @@ def random_allocate(
     color_bound: int | None = None,
 ) -> access.ResourceAllocation:
     """Colors drawn iid uniform on {0, ..., bound} (0 switches a tuple off)."""
-    bound = _palette_bound(mode, scenario.config.num_resources, GreedyConfig(color_bound=color_bound))
+    bound = _palette_bound(mode, scenario.config.num_resources, color_bound)
     rng = np.random.default_rng(seed)
     colors = rng.integers(0, bound + 1, size=(scenario.num_cns, scenario.num_beams))
     return access.ResourceAllocation(mode, colors, scenario.config.num_resources)
@@ -194,29 +171,29 @@ def greedy_allocate(
             f"{scenario.num_tuples} tuples"
         )
     num_resources = scenario.config.num_resources
-    bound = _palette_bound(mode, num_resources, config)
+    bound = _palette_bound(mode, num_resources, config.color_bound)
     alloc = random_allocate(scenario, mode, config.init_seed, config.color_bound)
     cache = engine.outage_vector(alloc)
     objective = float(cache.mean())
     trace = [objective]
     order = graph.sweep_order()
-    palette = access.decode_holds(np.arange(bound + 1), mode, num_resources)
+    colors = np.arange(bound + 1)
+    palette = access.decode_holds(colors, mode, num_resources)
     flat = alloc.colors.reshape(-1).copy()
     holds = alloc.holds.copy()
 
     for _ in range(config.max_iterations):
         for node in order:
-            current = int(flat[node])
-            options = [color for color in range(bound + 1) if color != current]
-            vectors = engine.palette_outage(holds, node, palette[options], cache)
-            best = (objective, current, cache)
-            for color, vector in zip(options, vectors):
-                value = float(vector.mean())
-                if value < best[0] or (value == best[0] and color < best[1]):
-                    best = (value, color, vector)
-            objective, chosen, cache = best
-            flat[node] = chosen
-            holds[node] = palette[chosen]
+            current = flat[node]
+            others = colors != current
+            vectors = engine.palette_outage(holds, node, palette[others], cache)
+            # the current color enters at its own value; argmin takes the first of a tie
+            chosen = np.argmin(np.insert(vectors.mean(axis=1), current, objective))
+            if chosen != current:
+                cache = vectors[chosen - (chosen > current)]  # rows skip the current color
+                objective = float(cache.mean())
+                flat[node] = chosen
+                holds[node] = palette[chosen]
         trace.append(objective)
         if trace[-2] - trace[-1] < config.improvement_threshold:
             break

@@ -209,11 +209,10 @@ def _cmd_report(args) -> int:
         )
     method = outage.parse_method(args.method, args.grid_points, args.draws, config.seed)
     report = outage.average_outage(alloc, scenario, method)
-    outage.write_outage_csv(
-        report,
-        _out_dir(args) / "outage.csv",
-        note=f"grid_points={args.grid_points} config: {summary}",
-    )
+    setting = {"cf": "grid_points", "mc": "draws"}.get(method.label)  # the series read none
+    recorded = f"{setting}={getattr(method, setting)} " if setting else ""
+    note = f"{recorded}config: {summary}"
+    outage.write_outage_csv(report, _out_dir(args) / "outage.csv", note=note)
     return 0
 
 

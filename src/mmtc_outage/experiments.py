@@ -88,6 +88,9 @@ class ExperimentSpec:
             raise ValueError("cdf_points must be >= 2")
         if self.experiment in _SWEEPING and not self.sweep:
             raise ValueError(f"{self.experiment} needs a nonempty sweep")
+        whole = all(float(v).is_integer() for v in self.sweep)
+        if self.experiment.endswith("_vs_m") and not whole:
+            raise ValueError(f"{self.experiment} sweeps whole sensor counts, got {self.sweep}")
 
     def summary(self) -> str:
         sweep = ";".join(repr(float(v)) for v in self.sweep)

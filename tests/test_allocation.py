@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mmtc_outage import access, allocation, outage
 from mmtc_outage import scenario as scn
@@ -64,14 +67,9 @@ def test_facing_collectors_within_reach_share_edges():
     adj = graph.adjacency
     # boresights at 0, pi/2, pi, 3pi/2: beam 0 of the left collector and
     # beam 2 of the right collector face each other
-    assert allocation.beam_points_at(s, 0, 0, 1)
-    assert allocation.beam_points_at(s, 1, 2, 0)
-    assert not allocation.beam_points_at(s, 0, 1, 1)
-    for l2 in range(4):
-        assert adj[0, 4 + l2]  # left beam 0 points at the right collector
-    for l in range(4):
-        assert adj[l, 4 + 2]  # right beam 2 points back
-    assert not adj[1, 4 + 1]
+    assert adj[0, 4:].all()  # left beam 0 points at the right collector
+    assert adj[:4, 4 + 2].all()  # right beam 2 points back
+    assert np.flatnonzero(adj[1, 4:]).tolist() == [2]  # left beam 1 does not point
     assert not adj[3, 4 + 3]
     # same-collector cliques intact
     assert np.array_equal(adj[:4, :4], ~np.eye(4, dtype=bool))
@@ -95,10 +93,50 @@ def test_angular_boundary_is_exclusive():
     d = 250.0 / math.sqrt(2.0)
     s = placed_scenario([[0.0, 0.0], [d, d]])
     adj = allocation.build_graph(s).adjacency
-    for l in range(4):
-        assert not allocation.beam_points_at(s, 0, l, 1)
-        assert not allocation.beam_points_at(s, 1, l, 0)
-    assert not adj[:4, 4:].any()
+    assert not adj[:4, 4:].any()  # no beam of either collector points
+    assert not oracle_adjacency(s)[:4, 4:].any()
+
+
+def oracle_adjacency(s):
+    """The per-pair loop ``build_graph`` replaced, angles from ``math.atan2``."""
+    num_cns, beams = s.num_cns, s.num_beams
+    reach = (s.config.interference_factor + 1.0) * s.config.deploy_radius
+
+    def points_at(cn, beam, other_cn):
+        delta = s.cn_positions[other_cn] - s.cn_positions[cn]
+        direction = math.atan2(float(delta[1]), float(delta[0]))
+        offset = float(s.beam_angles[beam]) - direction
+        return abs((offset + math.pi) % (2.0 * math.pi) - math.pi) < math.pi / beams
+
+    adj = np.zeros((num_cns * beams, num_cns * beams), dtype=bool)
+    for k in range(num_cns):
+        for k2 in range(num_cns):
+            gap = float(np.hypot(*(s.cn_positions[k2] - s.cn_positions[k])))
+            for l in range(beams):
+                for l2 in range(beams):
+                    if k == k2:
+                        edge = l != l2
+                    else:
+                        edge = gap < reach and (points_at(k, l, k2) or points_at(k2, l2, k))
+                    adj[k * beams + l, k2 * beams + l2] = edge
+    return adj
+
+
+# integer grids of step 60 put collectors at exactly the 300 m reach (3-4-5
+# triangles) and on the diagonals that bound a beam at L = 4
+grid_layouts = st.integers(1, 6).flatmap(
+    lambda k: st.one_of(
+        arrays(np.int64, (k, 2), elements=st.integers(0, 10)).map(lambda xy: 60.0 * xy),
+        arrays(float, (k, 2), elements=st.floats(0.0, 2000.0)),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_layouts, st.integers(1, 8))
+def test_graph_matches_per_pair_oracle(cn_xy, beams):
+    s = placed_scenario(cn_xy, beams=beams)
+    assert np.array_equal(allocation.build_graph(s).adjacency, oracle_adjacency(s))
 
 
 def test_degrees_and_sweep_order():
@@ -196,6 +234,8 @@ def test_config_validation():
         allocation.greedy_allocate(
             s, "single", allocation.GreedyConfig(color_bound=5)
         )
+    with pytest.raises(ValueError, match="color_bound"):
+        allocation.random_allocate(s, "single", 0, color_bound=0)
 
 
 def test_graph_shape_mismatch_raises():
@@ -210,6 +250,20 @@ def test_hopeless_scenario_stops_immediately():
     result = allocation.greedy_allocate(s, "single")
     assert result.trace == (1.0, 1.0)
     assert result.objective == 1.0
+
+
+@pytest.mark.parametrize("mode", ["single", "multiple"])
+def test_tied_colors_resolve_to_the_smallest(mode):
+    # no interference: every color that switches a tuple on ties, so 1 wins
+    quiet = toy(activity=0.0)
+    # every color ties, switched off (0) included
+    hopeless = toy(detection_threshold=1e9)
+    for seed in range(4):
+        config = allocation.GreedyConfig(init_seed=seed)
+        on = allocation.greedy_allocate(quiet, mode, config).allocation.colors
+        assert on.tolist() == np.ones_like(on).tolist()
+        off = allocation.greedy_allocate(hopeless, mode, config).allocation.colors
+        assert off.tolist() == np.zeros_like(off).tolist()
 
 
 def test_trace_csv_layout(tmp_path):

@@ -80,6 +80,17 @@ def test_bad_runtime_value_exits_1(tmp_path, cfg_file, capsys):
     assert "sweep" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("experiment", ["error_vs_m", "outage_vs_m"])
+def test_fractional_sensor_count_exits_1(tmp_path, cfg_file, capsys, experiment):
+    code = run(
+        "sweep", experiment, "--config", cfg_file, "--out", tmp_path,
+        "--values", "8.7,12", "--grid-points", 256,
+    )
+    assert code == 1
+    assert "whole sensor counts" in capsys.readouterr().err
+    assert not (tmp_path / f"{experiment}.csv").exists()
+
+
 def test_approx_writes_cdf_compare(tmp_path, cfg_file):
     code = run(
         "approx", "--config", cfg_file, "--seed", 3, "--out", tmp_path,
@@ -262,9 +273,16 @@ def test_report_mc_method(tmp_path, cfg_file):
         "--allocation", tmp_path / "allocation.csv",
     )
     assert code == 0
-    # the mode is the one the allocation file records
+    # the mode is the one the allocation file records, the setting the one mc read
     header = (tmp_path / "outage.csv").read_text().splitlines()[0]
-    assert header.startswith("# outage mode=multiple method=mc ")
+    assert header.startswith("# outage mode=multiple method=mc draws=200 config: ")
+    code = run(
+        "report", *shared, "--method", "gc5", "--out", tmp_path / "gc",
+        "--allocation", tmp_path / "allocation.csv",
+    )
+    assert code == 0
+    header = (tmp_path / "gc" / "outage.csv").read_text().splitlines()[0]
+    assert header.startswith("# outage mode=multiple method=gc5 config: ")  # no grid_points
 
 
 def test_repeat_runs_are_byte_identical(tmp_path, cfg_file):

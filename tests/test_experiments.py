@@ -77,6 +77,15 @@ def test_sweep_experiments_need_a_sweep():
     spec_for("error_vs_m", sweep=(10,))  # fine
 
 
+@pytest.mark.parametrize("experiment", ["error_vs_m", "outage_vs_m"])
+def test_sensor_sweeps_need_whole_counts(experiment):
+    for sweep in ((8.7, 12.0), (12.0, float("inf")), (float("nan"),)):
+        with pytest.raises(ValueError, match="whole sensor counts"):
+            spec_for(experiment, sweep=sweep)
+    spec_for(experiment, sweep=(8.0, 12))  # whole floats are fine
+    spec_for(experiment.replace("_m", "_p"), sweep=(0.25,))  # activities need not be
+
+
 def test_spec_summary_records_everything():
     spec = spec_for("error_vs_p", sweep=(0.1, 0.2), orders=(0, 5), reps=2)
     line = spec.summary()
