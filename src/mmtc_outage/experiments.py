@@ -91,6 +91,12 @@ class ExperimentSpec:
         whole = all(float(v).is_integer() for v in self.sweep)
         if self.experiment.endswith("_vs_m") and not whole:
             raise ValueError(f"{self.experiment} sweeps whole sensor counts, got {self.sweep}")
+        # an error sweep scores continuous approximations, which a law with
+        # no variance (activity 0 or 1, or a lone sensor) does not have
+        if self.experiment == "error_vs_p" and not all(0.0 < v < 1.0 for v in self.sweep):
+            raise ValueError(f"error_vs_p sweeps activities strictly between 0 and 1, got {self.sweep}")
+        if self.experiment == "error_vs_m" and any(v < 2 for v in self.sweep):
+            raise ValueError(f"error_vs_m sweeps at least 2 sensors, got {self.sweep}")
 
     def summary(self) -> str:
         sweep = ";".join(repr(float(v)) for v in self.sweep)

@@ -312,10 +312,11 @@ class GcOutageEngine:
     coefficient and tail routines, shared with the scalar series), each
     distinct pair once, in chunks of at most ``_PAIR_CHUNK_ROWS`` rows.
     :meth:`outage_vector` is the one-candidate case, every sum runs over
-    the source tuples in ascending order, and each row's series
-    coefficients are computed independently of the other rows in its call
-    (``collect_power_coefficients``), so palette scores equal full
-    evaluations of the re-colored allocations bit for bit.
+    the source tuples in ascending order, and the series pass is elementwise
+    on stacked (order, rows) arrays with every sum over orders added left to
+    right, so no row's coefficients or tail depend on the other rows in its
+    call, and palette scores equal full evaluations of the re-colored
+    allocations bit for bit.
     """
 
     def __init__(self, scenario: Scenario, order: int = 5):
@@ -342,6 +343,12 @@ class GcOutageEngine:
         self.pooled[np.arange(num_tuples), np.arange(num_tuples)] = 0.0
         self.tuple_counts = np.bincount(det, minlength=num_tuples)
         self.thresholds = interference_headroom(scenario)
+        # cumulants of one source at p_eff = activity / |T|, by set size |T|
+        # (0..R, the holds matrices' resource count)
+        self.by_size = _bernoulli_cumulants(
+            np.r_[0.0, self.activity / np.arange(1, scenario.config.num_resources + 1)],
+            self.depth,
+        )
 
     def outage_vector(self, alloc: ResourceAllocation) -> np.ndarray:
         """Per-sensor outage under ``alloc``: the one-candidate case of the
@@ -391,16 +398,12 @@ class GcOutageEngine:
         num_sensors = det.size
         num_cands, num_tuples, num_resources = holds.shape
         sizes = holds.sum(axis=2)  # (C, D)
-        # cumulants of one source at p_eff = activity / |T|, by set size |T|
-        by_size = _bernoulli_cumulants(
-            np.r_[0.0, self.activity / np.arange(1, num_resources + 1)], self.depth
-        )
-        cvals = by_size[sizes]  # (C, D, depth)
+        cvals = self.by_size[sizes]  # (C, D, depth)
         # Per-source (cumulant, support) terms for every (column t, dest d):
         # rows e < D from candidate 0, which shares all rows but ``node``'s;
         # row D + k is ``node`` holding t among ``states[k]`` resources (0: not).
         states = np.union1d(0, sizes[:, node])
-        cv = np.concatenate([cvals[0], by_size[states]])
+        cv = np.concatenate([cvals[0], self.by_size[states]])
         src = self.pooled.transpose(1, 0, 2)[np.r_[:num_tuples, [node] * states.size]]
         mask = np.concatenate([holds[0], np.repeat(states[:, None] > 0, num_resources, 1)])
         q = np.concatenate([cv[:, None, :] * src, src[:, :, :1]], axis=2)

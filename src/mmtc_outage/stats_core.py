@@ -93,26 +93,26 @@ def bell_complete(n: int, args) -> float:
     return bell[n]
 
 
+_HE_INTO_0_1 = np.array([3.0, 15.0])  # He_4's and He_5's lowest terms
+_HE_OUT_OF_0_1 = np.array([1.0, 3.0])  # He_2's and He_3's lowest terms
+_HE_OUT_OF_2_3 = np.array([6.0, 10.0])  # He_4's and He_5's middle terms
+
+
 def collect_power_coefficients(coeffs) -> np.ndarray:
-    """Collapse sum_n c_n He_n(x), n <= 5, into plain coefficients of x^0..x^5
-    (one row of coefficients along the last axis).
+    """Collapse sum_n c_n He_n(x), n <= 5, into plain coefficients of x^0..x^5,
+    the coefficients along the last axis and any leading axes rows.
 
     He_2 = x^2 - 1, He_3 = x^3 - 3x, He_4 = x^4 - 6x^2 + 3 and He_5 = x^5 -
-    10x^3 + 15x, summed column by column: unlike a matrix product, whose
-    rounding can depend on how many rows share the call, each row's result
-    is the same whatever the batch."""
+    10x^3 + 15x.  Each step is elementwise, so a row's result is the same
+    whatever shares the call."""
     c = np.asarray(coeffs, dtype=float)
-    if c.ndim not in (1, 2) or c.shape[-1] > 6:
+    if c.ndim < 1 or c.shape[-1] > 6:
         raise ValueError("expected at most six series coefficients")
-    if c.shape[-1] < 6:
-        c = np.concatenate([c, np.zeros(c.shape[:-1] + (6 - c.shape[-1],))], axis=-1)
-    b = c.T  # b[n]: the He_n coefficients
-    a = b.copy()  # He_n's x^n term
-    a[0] += 3.0 * b[4] - b[2]
-    a[1] += 15.0 * b[5] - 3.0 * b[3]
-    a[2] -= 6.0 * b[4]
-    a[3] -= 10.0 * b[5]
-    return a.T
+    a = np.zeros(c.shape[:-1] + (6,))
+    a[..., : c.shape[-1]] = c
+    a[..., :2] += _HE_INTO_0_1 * a[..., 4:] - _HE_OUT_OF_0_1 * a[..., 2:4]
+    a[..., 2:4] -= _HE_OUT_OF_2_3 * a[..., 4:]
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -135,14 +135,57 @@ def _term_arrays(terms):
     return a, p
 
 
+# The series routines below work on stacked (order, rows) arrays, and every
+# sum over orders adds or subtracts whole rows of the stack left to right
+# (as :func:`_ordered_sum` does): unlike a reduction along the order axis
+# (pairwise, and blocked differently with the row count) or a matrix
+# product, each row's result is then the same whatever shares the call.
+_BINOMIAL = np.array([[math.comb(n, k) for k in range(6)] for n in range(6)], dtype=float)
+_TWO_STEP = np.arange(-1.0, 5.0)[:, None]  # (i - 1) for i = 0..5
+_FACTORIAL = np.array([math.factorial(n) for n in range(6)], dtype=float)[:, None]
+
+
+def _two_step(table: np.ndarray) -> np.ndarray:
+    """In place along axis 0: table[i] += (i - 1) table[i - 2] for i >= 2,
+    the even and odd chains two orders per step."""
+    n = table.shape[0]
+    for i in range(2, n, 2):
+        j = min(i + 2, n)
+        table[i:j] += _TWO_STEP[i:j] * table[i - 2 : j - 2]
+    return table
+
+
+def _ordered_sum(terms: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """terms[0] + terms[1] + ... into ``out``, added left to right."""
+    np.copyto(out, terms[0])
+    for term in terms[1:]:
+        out += term
+    return out
+
+
+def _power_table(first: np.ndarray, x: np.ndarray, count: int) -> np.ndarray:
+    """first * x^i for i = 0..count-1 stacked on a new first axis, by repeated
+    multiplication."""
+    table = np.empty((count,) + x.shape)
+    table[0] = first
+    for i in range(1, count):
+        np.multiply(table[i - 1], x, out=table[i])
+    return table
+
+
 def _cumulants_from_raw_moments(raw: np.ndarray) -> np.ndarray:
-    """Raw-moment-to-cumulant recursion; raw[k] holds order k+1 along axis 0."""
+    """Raw-moment-to-cumulant recursion on (order, rows) arrays; raw[k] holds
+    order k+1: kappa_n = mu_n - sum_m C(n-1, m-1) kappa_m mu_(n-m)."""
     kappa = np.empty_like(raw)
-    for n in range(1, raw.shape[0] + 1):
-        acc = np.array(raw[n - 1], copy=True)
-        for m in range(1, n):
-            acc -= math.comb(n - 1, m - 1) * kappa[m - 1] * raw[n - m - 1]
-        kappa[n - 1] = acc
+    kappa[0] = raw[0]
+    terms = np.empty_like(raw)
+    for n in range(1, raw.shape[0]):
+        step = terms[:n]
+        np.multiply(_BINOMIAL[n, :n, None], kappa[:n], out=step)
+        step *= raw[n - 1 :: -1]
+        np.subtract(raw[n], step[0], out=kappa[n])
+        for term in step[1:]:
+            kappa[n] -= term
     return kappa
 
 
@@ -476,23 +519,24 @@ class TruncatedGaussianKernel:
 
 
 def _kernel_cumulants(mu, sigma, alpha, beta, norm, order: int):
-    """Standardized moments 0..order and cumulants 1..order of the Gaussian
-    (mu, sigma) truncated to [alpha, beta] in standard units (mass ``norm``),
-    for scalars or rows.  The moments follow the boundary recursion
-    L_i = (alpha^(i-1) phi(alpha) - beta^(i-1) phi(beta)) / F + (i-1) L_(i-2);
-    cumulants come from them, then are shifted and scaled back, which avoids
-    large-mean cancellation."""
-    pa = _norm_pdf(alpha)
-    pb = _norm_pdf(beta)
-    moments = [np.ones_like(mu)]
-    for i in range(1, order + 1):
-        boundary = (alpha ** (i - 1) * pa - beta ** (i - 1) * pb) / norm
-        moments.append(boundary + ((i - 1) * moments[i - 2] if i >= 2 else 0.0))
+    """Standardized moments 0..order and cumulants 1..order, as (order + 1,
+    rows) and (order, rows) arrays, of the Gaussian (mu, sigma) rows truncated
+    to [alpha, beta] in standard units (mass ``norm``).  The moments follow
+    the boundary recursion L_i = (alpha^(i-1) phi(alpha) - beta^(i-1)
+    phi(beta)) / F + (i-1) L_(i-2); cumulants come from them, then are
+    shifted and scaled back, which avoids large-mean cancellation."""
+    moments = np.empty((order + 1,) + mu.shape)
+    moments[0] = 1.0
     if order == 0:
-        return moments, []
-    std_cums = _cumulants_from_raw_moments(np.stack(moments[1:], axis=0))
-    cums = [mu + sigma * std_cums[0]]
-    cums.extend(sigma**n * std_cums[n - 1] for n in range(2, order + 1))
+        return moments, moments[1:]
+    edges = np.stack([alpha, beta])
+    table = _power_table(_norm_pdf(edges), edges, order)  # x^i phi(x), (order, 2, rows)
+    np.subtract(table[:, 0], table[:, 1], out=moments[1:])
+    moments[1:] /= norm
+    _two_step(moments)
+    cums = _cumulants_from_raw_moments(moments[1:])
+    cums *= _power_table(sigma, sigma, order)
+    cums[0] += mu
     return moments, cums
 
 
@@ -515,16 +559,17 @@ def truncated_kernel(mu, sigma, lower, upper, max_order: int = 5) -> TruncatedGa
             f"truncation window [{lower}, {upper}] carries no mass "
             f"for mu={mu}, sigma={sigma}"
         )
-    std_moments, cums = _kernel_cumulants(mu, sigma, alpha, beta, norm, max_order)
+    rows = [np.array([v]) for v in (mu, sigma, alpha, beta, norm)]
+    std_moments, cums = _kernel_cumulants(*rows, max_order)
     raw = [
         math.fsum(
-            math.comb(k, i) * sigma**i * mu ** (k - i) * std_moments[i]
+            math.comb(k, i) * sigma**i * mu ** (k - i) * float(std_moments[i, 0])
             for i in range(k + 1)
         )
         for k in range(1, max_order + 1)
     ]
     return TruncatedGaussianKernel(
-        mu, sigma, float(lower), float(upper), norm, tuple(raw), tuple(map(float, cums))
+        mu, sigma, float(lower), float(upper), norm, tuple(raw), tuple(cums[:, 0].tolist())
     )
 
 
@@ -544,29 +589,31 @@ def _series_coefficients(kappa: np.ndarray, supports: np.ndarray, orders, ndtr):
     sigma = np.sqrt(kappa[:, 1])
     alpha = -mu / sigma
     beta = (supports - mu) / sigma
-    norm = ndtr(beta) - ndtr(alpha)
+    cdf = ndtr(np.stack([alpha, beta]))
+    norm = cdf[1] - cdf[0]
     if np.any(norm < 1e-300):
         raise DegenerateKernelError("truncation window [0, support] carries no kernel mass")
     top = max(orders)
-    btilde = np.zeros((kappa.shape[0], 6))
-    btilde[:, 0] = 1.0
+    btilde = np.zeros((6,) + mu.shape)  # (He order, rows)
+    btilde[0] = 1.0
     if top >= 1:
         _, kernel_cums = _kernel_cumulants(mu, sigma, alpha, beta, norm, top)
-        eta = kappa[:, :top] - np.column_stack(kernel_cums)
-        bell = [np.ones_like(mu)]
+        eta = kappa[:, :top].T - kernel_cums
+        bell = btilde[: top + 1]  # complete Bell polynomials of eta, built in place
+        terms = np.empty_like(eta)
         for m in range(top):
-            acc = np.zeros_like(mu)
-            for k in range(m + 1):
-                acc += math.comb(m, k) * bell[m - k] * eta[:, k]
-            bell.append(acc)
-        for m in range(1, top + 1):
-            btilde[:, m] = bell[m] / (math.factorial(m) * sigma**m)
-    an = [collect_power_coefficients(btilde[:, : o + 1]) for o in orders]
+            step = terms[: m + 1]
+            np.multiply(_BINOMIAL[m, : m + 1, None], bell[m::-1], out=step)
+            step *= eta[: m + 1]
+            _ordered_sum(step, bell[m + 1])
+        bell[1:] /= _FACTORIAL[1 : top + 1] * _power_table(sigma, sigma, top)
+    kept = np.arange(6) <= np.asarray(orders)[:, None, None]  # (orders, 1, He order)
+    an = collect_power_coefficients(np.where(kept, btilde.T, 0.0))
     return mu, sigma, beta, norm, an
 
 
 def _ndtr_rows(x: np.ndarray) -> np.ndarray:
-    return np.array([_ndtr(v) for v in x.tolist()])
+    return np.array([_ndtr(v) for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 def _series_density(x, mu, sigma, norm, an, lower, upper):
@@ -657,17 +704,15 @@ def _series_tails(thresholds, mu, sigma, beta, norm, an, ndtr) -> np.ndarray:
     the two-step recursion I_n = lo^(n-1) phi(lo) - beta^(n-1) phi(beta)
     + (n-1) I_(n-2), and the tail is sum_n an[:, n] I_n / norm.
     """
-    pb = _norm_pdf(beta)
-    lo = (thresholds - mu) / sigma
-    plo = _norm_pdf(lo)
-    partial = [ndtr(beta) - ndtr(lo), plo - pb]
-    for k in range(2, 6):
-        partial.append(
-            lo ** (k - 1) * plo - beta ** (k - 1) * pb + (k - 1) * partial[k - 2]
-        )
-    total = np.zeros_like(mu)
-    for m in range(6):
-        total += an[:, m] * partial[m]
+    edges = np.stack([(thresholds - mu) / sigma, beta])  # (lo, beta) rows
+    cdf = ndtr(edges)
+    table = _power_table(_norm_pdf(edges), edges, 5)  # x^i phi(x), (5, 2, rows)
+    partial = np.empty((6,) + mu.shape)
+    np.subtract(cdf[1], cdf[0], out=partial[0])
+    np.subtract(table[:, 0], table[:, 1], out=partial[1:])
+    _two_step(partial)
+    partial *= an.T
+    total = _ordered_sum(partial, np.empty_like(norm))
     return np.clip(total / norm, 0.0, 1.0)
 
 

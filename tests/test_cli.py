@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mmtc_outage import access, allocation, cli
+from mmtc_outage import access, allocation, cli, experiments
 from mmtc_outage import scenario as scn
 
 
@@ -88,6 +88,25 @@ def test_fractional_sensor_count_exits_1(tmp_path, cfg_file, capsys, experiment)
     )
     assert code == 1
     assert "whole sensor counts" in capsys.readouterr().err
+    assert not (tmp_path / f"{experiment}.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "experiment, values", [("error_vs_p", "0.3,0.0"), ("error_vs_p", "1.0"), ("error_vs_m", "1")]
+)
+def test_zero_variance_error_sweep_point_exits_1(
+    tmp_path, cfg_file, capsys, monkeypatch, experiment, values
+):
+    error = "at least 2 sensors" if experiment == "error_vs_m" else "strictly between 0 and 1"
+    drawn = []
+    monkeypatch.setattr(experiments, "generate_scenario", lambda cfg: drawn.append(cfg))
+    code = run(
+        "sweep", experiment, "--config", cfg_file, "--out", tmp_path,
+        "--values", values, "--grid-points", 256,
+    )
+    assert code == 1
+    assert error in capsys.readouterr().err
+    assert drawn == []  # refused before the first point's scenario
     assert not (tmp_path / f"{experiment}.csv").exists()
 
 

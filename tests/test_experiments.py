@@ -86,6 +86,30 @@ def test_sensor_sweeps_need_whole_counts(experiment):
     spec_for(experiment.replace("_m", "_p"), sweep=(0.25,))  # activities need not be
 
 
+ZERO_VARIANCE_ERROR = {"error_vs_p": "strictly between 0 and 1", "error_vs_m": "at least 2 sensors"}
+
+
+@pytest.mark.parametrize(
+    "experiment, sweep",
+    [
+        ("error_vs_p", (0.3, 0.0)),
+        ("error_vs_p", (1.0,)),
+        ("error_vs_p", (-0.2,)),
+        ("error_vs_p", (float("nan"),)),
+        ("error_vs_m", (1,)),
+        ("error_vs_m", (10, 0)),
+    ],
+)
+def test_error_sweeps_reject_zero_variance_points(experiment, sweep):
+    # activity 0 or 1 and a lone sensor leave no variance to approximate
+    with pytest.raises(ValueError, match=ZERO_VARIANCE_ERROR[experiment]):
+        spec_for(experiment, sweep=sweep)
+    edges = (2,) if experiment == "error_vs_m" else (1e-3, 0.999)
+    spec_for(experiment, sweep=edges)  # fine
+    # the outage sweeps score activity 0 and 1 and a lone sensor
+    spec_for(experiment.replace("error", "outage"), sweep=(1,) if edges == (2,) else (0.0, 1.0))
+
+
 def test_spec_summary_records_everything():
     spec = spec_for("error_vs_p", sweep=(0.1, 0.2), orders=(0, 5), reps=2)
     line = spec.summary()

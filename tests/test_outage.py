@@ -422,13 +422,14 @@ def test_engine_matches_scalar_multiple_mode():
     tx_power=st.sampled_from([0.0, 0.1]),
     mode=st.sampled_from(["single", "multiple"]),
     seed=st.integers(0, 2**16),
+    order=st.sampled_from([0, 2, 5]),
 )
 @example(
     num_sensors=9, num_cns=2, beams=3, num_resources=2, activity=1.0,
-    tx_power=0.1, mode="multiple", seed=113,
+    tx_power=0.1, mode="multiple", seed=113, order=5,
 )
 def test_engine_matches_scalar_series_on_small_scenarios(
-    num_sensors, num_cns, beams, num_resources, activity, tx_power, mode, seed
+    num_sensors, num_cns, beams, num_resources, activity, tx_power, mode, seed, order
 ):
     # covers fewer sensors than collectors, one beam, R = 1, activity 0, 0.5
     # and 1, and tx_power 0 (negative headroom everywhere); the example has
@@ -440,20 +441,24 @@ def test_engine_matches_scalar_series_on_small_scenarios(
     bound = access.color_bound(mode, num_resources)
     colors = np.random.default_rng(seed).integers(0, bound + 1, size=(num_cns, beams))
     alloc = access.ResourceAllocation(mode, colors, num_resources)
-    got = outage.GcOutageEngine(s, 5).outage_vector(alloc)
-    expected = [outage.outage_multi(alloc, s, i, GC5) for i in range(s.num_sensors)]
+    got = outage.GcOutageEngine(s, order).outage_vector(alloc)
+    method = outage.GramCharlierMethod(order)
+    expected = [outage.outage_multi(alloc, s, i, method) for i in range(s.num_sensors)]
     np.testing.assert_allclose(got, expected, rtol=0, atol=5e-12)
 
 
+@pytest.mark.parametrize("order", [0, 2, 5])
 @pytest.mark.parametrize("chunk_rows", [None, 1])
 @pytest.mark.parametrize("mode", ["single", "multiple"])
-def test_palette_scores_equal_full_recompute(mode, chunk_rows, monkeypatch):
+def test_palette_scores_equal_full_recompute(mode, chunk_rows, order, monkeypatch):
+    # the series pass branches on the order (no Bell terms at 0, the
+    # variance-only depth at 2), so the bitwise guarantee is pinned for each
     if chunk_rows is not None:
         monkeypatch.setattr(outage, "_PAIR_CHUNK_ROWS", chunk_rows)
     num_resources = 3
     full = access.color_bound(mode, num_resources)
     for s in (toy(), toy(detection_threshold=1e9)):  # the second is hopeless
-        engine = outage.GcOutageEngine(s)
+        engine = outage.GcOutageEngine(s, order)
         rng = np.random.default_rng(5)
         colors = rng.integers(0, full + 1, size=(s.num_cns, s.num_beams))
         colors[0, 0] = 0  # one tuple switched off

@@ -434,6 +434,48 @@ def test_series_rows_match_one_row_calls():
             assert divergences[r] == pytest.approx(jsd(ref, binned), rel=1e-12)
 
 
+def _series_row_cases():
+    """(kappa, supports, thresholds): random laws plus strongly truncated
+    kernels (a window under 0.5 sigma wide, one of them 4 sigma below the
+    mean), each at thresholds from 0 up to just below the support, where lo
+    sits next to beta."""
+    laws = [_random_model(seed, n=40, p=0.2) for seed in range(4)]
+    kappa = [m.cumulants for m in laws]
+    supports = [m.support_bound for m in laws]
+    for cums, support in (
+        ((0.04, 0.04, 1e-3, -2e-4, 1e-5), 0.09),
+        ((0.5, 1.0, 0.2, 0.05, -0.01), 0.4),
+        ((2.0, 0.25, 0.01, 1e-3, 1e-4), 0.2),
+    ):
+        kappa.append(cums)
+        supports.append(support)
+    rows = []
+    for cums, support in zip(kappa, supports):
+        for thr in (0.0, 0.5 * support, support * (1 - 1e-9), np.nextafter(support, 0.0)):
+            rows.append((cums, support, thr))
+    kappa, supports, thresholds = zip(*rows)
+    return np.array(kappa), np.array(supports), np.array(thresholds)
+
+
+@pytest.mark.parametrize("order", range(6))
+def test_series_block_equals_rows_one_at_a_time(order):
+    # the GC engine's bitwise palette guarantee rests on each row's
+    # coefficients and tail not depending on which rows share the call
+    kappa, supports, thresholds = _series_row_cases()
+    kappa = kappa[:, : max(order, 2)]
+    for cdf in (_ndtr_rows, ndtr):
+        block = _series_coefficients(kappa, supports, (order,), cdf)
+        tails = _series_tails(thresholds, *block[:4], block[4][0], cdf)
+        assert np.all((tails >= 0.0) & (tails <= 1.0))
+        for r in range(kappa.shape[0]):
+            row = _series_coefficients(kappa[r : r + 1], supports[r : r + 1], (order,), cdf)
+            for got, want in zip(row[:4], block[:4]):
+                assert got[0] == want[r], (order, r)
+            assert np.array_equal(row[4][0][0], block[4][0][r]), (order, r)
+            tail = _series_tails(thresholds[r : r + 1], *row[:4], row[4][0], cdf)
+            assert tail[0] == tails[r], (order, r)
+
+
 def test_series_rows_raise_what_the_scalar_route_raises():
     good = [1.0, 0.5, 0.1, 0.0, 0.0]
     cases = (
